@@ -1,7 +1,7 @@
 """Sanitizer overhead: the disabled path must be free.
 
-Mirrors ``bench_obs_overhead.py``. With ``REPRO_SANITIZE`` unset, every
-probe site costs exactly one module-attribute read per round; the
+With ``REPRO_SANITIZE`` unset, every probe site costs exactly one
+module-attribute read per round; the
 disabled benchmark here must sit within noise of the pre-sanitizer
 engine. The enabled benchmarks bound what a sanitized run costs — the
 per-round monotonicity sweep dominates, the structural checks amortize

@@ -169,16 +169,20 @@ def two_phase(
     phase1_stats = RunStats()
     phase2_stats = RunStats()
 
-    fingerprint = run_fingerprint(
-        g, spec, source=source, triangle=bool(triangle), algorithm="two_phase"
-    )
     checkpointer: Optional[Checkpointer] = None
+    ck: Optional[Checkpoint] = None
+    if checkpoint_path is not None or resume is not None:
+        # Two full passes over the CSR arrays: paid only by runs that
+        # write or verify a checkpoint, never by plain serving traffic.
+        fingerprint = run_fingerprint(
+            g, spec, source=source, triangle=bool(triangle),
+            algorithm="two_phase",
+        )
     if checkpoint_path is not None:
         checkpointer = Checkpointer(
             checkpoint_path, every=checkpoint_every,
             fingerprint=fingerprint, engine="two_phase",
         )
-    ck: Optional[Checkpoint] = None
     if resume is not None:
         ck = as_checkpoint(resume)
         ck.verify(fingerprint)

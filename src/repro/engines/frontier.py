@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 import time
 from typing import Generator, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -35,12 +36,7 @@ from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import Checkpointer
 from repro.resilience.faults import fault_point
 
-try:  # pragma: no cover - import guard exercised implicitly
-    from weakref import WeakKeyDictionary
-except ImportError:  # pragma: no cover
-    WeakKeyDictionary = dict  # type: ignore[assignment,misc]
-
-_SYMMETRIC_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
+_SYMMETRIC_CACHE: "WeakKeyDictionary[Graph, Graph]" = WeakKeyDictionary()
 # Single-flight guard: concurrent serve workers asking for the same
 # graph's symmetric view must not each pay (and race) the symmetrize.
 _SYMMETRIC_LOCK = threading.Lock()
@@ -49,17 +45,12 @@ _SYMMETRIC_LOCK = threading.Lock()
 def symmetric_view(g: Graph) -> Graph:
     """Cached symmetrized view of ``g`` (used by WCC); thread-safe."""
     with _SYMMETRIC_LOCK:
-        try:
-            return _SYMMETRIC_CACHE[g]
-        except (KeyError, TypeError):
-            pass
-        sym = symmetrize(g)
-        if san_runtime._enabled:
-            san_probes.check_symmetrized(g, sym, "engine.symmetric_view")
-        try:
+        sym = _SYMMETRIC_CACHE.get(g)
+        if sym is None:
+            sym = symmetrize(g)
+            if san_runtime._enabled:
+                san_probes.check_symmetrized(g, sym, "engine.symmetric_view")
             _SYMMETRIC_CACHE[g] = sym
-        except TypeError:
-            pass
         return sym
 
 

@@ -342,6 +342,20 @@ class StreamingHistogram:
                 ),
             )
 
+    def merge(self, other: HistogramSnapshot) -> None:
+        """Fold a snapshot in (:meth:`HistogramSnapshot.merge` semantics:
+        counts add, ``other``'s exemplars win per bucket)."""
+        if other.scheme != self.scheme:
+            raise ValueError("cannot merge histograms with different schemes")
+        with self._lock:
+            for idx, n in enumerate(other.counts):
+                self._counts[idx] += n
+            self._exemplars.update(other.exemplar_map())
+            self.count += other.count
+            self.total += other.total
+            self.min = min(self.min, other.min)
+            self.max = max(self.max, other.max)
+
     def quantile(self, q: float) -> Optional[float]:
         return self.snapshot().quantile(q)
 

@@ -214,9 +214,9 @@ class Profiler:
                     self._dropped += 1
             # time.sleep, not Event.wait: a condvar timed-wait wakes the
             # GIL arbitration hard enough to cost a busy workload thread
-            # ~20% at a 5 ms period; a plain sleep costs <3% (measured in
-            # bench_live_obs_overhead.py). Stop latency is bounded by one
-            # interval, which stop()'s join timeout comfortably covers.
+            # ~20% at a 5 ms period; a plain sleep costs <3%. Stop
+            # latency is bounded by one interval, which stop()'s join
+            # timeout comfortably covers.
             time.sleep(self.interval_s)
 
     def _sample_once(self) -> None:

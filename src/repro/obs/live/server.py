@@ -83,9 +83,9 @@ class MetricsServer:
     def render_metrics(self) -> str:
         """The /metrics document: collectors, registry, process gauges.
 
-        Collectors render *before* the registry so an always-on source
-        (the service tally) wins the family-dedupe over the registry's
-        telemetry-gated series of the same names.
+        Collectors render *before* the registry so a live service's
+        tally wins the family-dedupe over the totals that already-closed
+        services folded into the registry under the same names.
         """
         rows: List[prom.Row] = []
         for collector in self._collectors:

@@ -88,7 +88,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "serve.breaker.trips",
     "serve.breaker.state",
     "serve.worker.restarts",
-    "serve.queue.depth",
     "serve.latency_ms",
     # Live observability plane (repro.obs.live): streaming histograms,
     # exporter, profiler, SLO burn rates.
@@ -101,8 +100,8 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "serve.slo.burn_rate",
     "serve.slo.firing",
     "serve.slo.alerts",
-    # Service-level series the exporter derives from the always-on tally
-    # (never written to the registry, but part of the scraped vocabulary).
+    # More series of the service's always-on tally: scraped live from the
+    # exporter; the counters are folded into the registry at close().
     "serve.submitted",
     "serve.failed",
     "serve.workers_alive",
@@ -184,7 +183,6 @@ EVENT_NAMES: FrozenSet[str] = frozenset({
     "budget.exceeded",
     "fault.injected",
     "sanitizer.violation",
-    "serve.request",
     "serve.breaker",
     "serve.worker.restart",
     "serve.stats",

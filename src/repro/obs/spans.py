@@ -3,9 +3,10 @@
 A span times one region of work (a 2Phase phase, one hub query, one CG
 build). Spans nest: entering a span pushes it onto a thread-local stack,
 so concurrently-running threads keep independent nestings and every span
-knows its parent and depth. Completed spans accumulate in a process-wide
-list for the CLI summary table and, when a journal is active, each one is
-emitted as a ``span`` event on exit.
+knows its parent and depth. Each completed span updates a per-name rollup
+(the CLI summary table, exact over the whole run), joins a bounded window
+of the most recent records and, when a journal is active, is emitted as a
+``span`` event on exit.
 
 When telemetry is disabled :func:`span` returns a shared inert context
 manager, so instrumented code pays one flag check and no allocation.
@@ -15,10 +16,12 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs import runtime, trace
+from repro.obs.metrics import Histogram
 
 
 @dataclass
@@ -49,8 +52,13 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
+#: :func:`records` keeps this many of the most recent spans; a long-lived
+#: ``serve --metrics`` opens ~5 per request, so the full list cannot be kept.
+RECORDS_WINDOW = 4096
+
 _lock = threading.Lock()
-_records: List[SpanRecord] = []
+_records: "deque[SpanRecord]" = deque(maxlen=RECORDS_WINDOW)
+_rollup: Dict[str, Histogram] = {}
 _local = threading.local()
 
 # Every thread's open-span stack, keyed by thread ident. The sampling
@@ -139,6 +147,10 @@ class Span:
         )
         with _lock:
             _records.append(record)
+            agg = _rollup.get(self.name)
+            if agg is None:
+                agg = _rollup[self.name] = Histogram()
+            agg.observe(duration)
         # Every completed span feeds a streaming histogram keyed by span
         # name, which is how per-phase engine time and per-hub CG-build
         # time get full latency distributions without instrumenting the
@@ -186,7 +198,7 @@ def current_span_name() -> Optional[str]:
 
 
 def records() -> List[SpanRecord]:
-    """Snapshot of all completed spans so far."""
+    """The most recent completed spans (at most :data:`RECORDS_WINDOW`)."""
     with _lock:
         return list(_records)
 
@@ -195,21 +207,18 @@ def reset() -> None:
     """Drop all completed spans (the open stack is left alone)."""
     with _lock:
         _records.clear()
+        _rollup.clear()
 
 
 def summary() -> Dict[str, Dict[str, float]]:
-    """Per-name rollup: count, total/min/max seconds."""
-    rollup: Dict[str, Dict[str, float]] = {}
-    for rec in records():
-        agg = rollup.setdefault(
-            rec.name,
-            {"count": 0, "total_s": 0.0, "min_s": float("inf"), "max_s": 0.0},
-        )
-        agg["count"] += 1
-        agg["total_s"] += rec.duration
-        agg["min_s"] = min(agg["min_s"], rec.duration)
-        agg["max_s"] = max(agg["max_s"], rec.duration)
-    return rollup
+    """Per-name rollup over every span since :func:`reset`: count,
+    total/min/max seconds."""
+    with _lock:
+        return {
+            name: {"count": agg.count, "total_s": agg.total,
+                   "min_s": agg.min, "max_s": agg.max}
+            for name, agg in _rollup.items()
+        }
 
 
 def render_summary() -> str:

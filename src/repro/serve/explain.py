@@ -7,7 +7,9 @@ per-phase work breakdown from the engines, the CG-vs-full-graph edge
 ratio the Core Phase exploited, the Theorem-1 certified fraction, and the
 degraded/shed reason if any. It is built in
 :meth:`~repro.serve.service.QueryService._resolve` (the single place
-every request terminates), journaled as a ``serve.explain`` event, and
+every request terminates) and is the request's one terminal record: the
+service tally, SLO sample and root span are read off it, and it is
+journaled as a ``serve.explain`` event and
 attached to the request's retained trace in the
 :class:`~repro.obs.trace.TraceStore`, so ``obs explain <trace-id>``
 answers "why was *this* query slow/degraded/shed?" from one line.
@@ -15,12 +17,11 @@ answers "why was *this* query slow/degraded/shed?" from one line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional
 
+from repro.resilience.anytime import certificate_counts
 from repro.serve.request import Outcome, QueryRequest
-
-_CERT_LABELS = {0: "exact", 1: "approx", 2: "unreached"}
 
 
 def _phase_breakdown(stats: Any) -> Dict[str, Any]:
@@ -33,19 +34,18 @@ def _phase_breakdown(stats: Any) -> Dict[str, Any]:
     }
 
 
-def certificate_summary(certificate: Any) -> Optional[Dict[str, int]]:
-    """Per-class counts of a per-vertex precision certificate array."""
-    if certificate is None:
-        return None
-    out: Dict[str, int] = {}
-    for code, label in _CERT_LABELS.items():
-        out[label] = int((certificate == code).sum())
-    return out
+#: The two fields journaled under a different key than their name.
+_JOURNAL_KEYS = {"trace_id": "trace", "request_id": "request"}
 
 
 @dataclass
 class ExplainRecord:
-    """The wide per-request event (see module docstring)."""
+    """The wide per-request event (see module docstring).
+
+    Field order is the journal's key order. A field declared with a
+    ``None`` default is an optional facet, elided from the event while it
+    is ``None``; the others are always present.
+    """
 
     trace_id: Optional[str]
     request_id: int
@@ -53,13 +53,13 @@ class ExplainRecord:
     source: Optional[int]
     priority: int
     status: str
-    reason: Optional[str] = None
-    error: Optional[str] = None
     admitted: bool = False
     attempts: int = 0
     shed: bool = False
     queue_wait_ms: float = 0.0
     service_ms: float = 0.0
+    reason: Optional[str] = None
+    error: Optional[str] = None
     deadline_s: Optional[float] = None
     budget: Optional[Dict[str, Any]] = None
     breaker_state: Optional[str] = None
@@ -78,47 +78,18 @@ class ExplainRecord:
     graph_fingerprint: Optional[str] = None
     staleness: Optional[Dict[str, Any]] = None
     durability: Optional[Dict[str, Any]] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; None-valued optional facets are elided."""
-        out: Dict[str, Any] = {
-            "trace": self.trace_id,
-            "request": self.request_id,
-            "query": self.query,
-            "source": self.source,
-            "priority": self.priority,
-            "status": self.status,
-            "admitted": self.admitted,
-            "attempts": self.attempts,
-            "shed": self.shed,
-            "queue_wait_ms": round(self.queue_wait_ms, 3),
-            "service_ms": round(self.service_ms, 3),
-        }
-        optional = {
-            "reason": self.reason,
-            "error": self.error,
-            "deadline_s": self.deadline_s,
-            "budget": self.budget,
-            "breaker_state": self.breaker_state,
-            "phase1": self.phase1,
-            "phase2": self.phase2,
-            "impacted": self.impacted,
-            "certified_precise": self.certified_precise,
-            "certified_fraction": self.certified_fraction,
-            "certificate": self.certificate,
-            "degraded_phase": self.degraded_phase,
-            "cg_edge_fraction": self.cg_edge_fraction,
-            "hubs": self.hubs,
-            "sampled": self.sampled,
-            "sample_reason": self.sample_reason,
-            "graph_epoch": self.graph_epoch,
-            "graph_fingerprint": self.graph_fingerprint,
-            "staleness": self.staleness,
-            "durability": self.durability,
-        }
-        out.update({k: v for k, v in optional.items() if v is not None})
-        out.update(self.extra)
+        """JSON-ready form: the fields under their journal keys, timings
+        rounded to the microsecond, None-valued optional facets elided."""
+        out: Dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            if f.name in ("queue_wait_ms", "service_ms"):
+                value = round(value, 3)
+            out[_JOURNAL_KEYS.get(f.name, f.name)] = value
         return out
 
 
@@ -175,7 +146,8 @@ def build_explain(
             rec.certified_fraction = round(
                 res.certified_precise / num_vertices, 6
             )
-        rec.certificate = certificate_summary(res.certificate)
+        if res.certificate is not None:
+            rec.certificate = certificate_counts(res.certificate)
         rec.degraded_phase = res.degraded_phase
         if res.budget_error is not None:
             budget = rec.budget or {}

@@ -19,9 +19,6 @@ import heapq
 import threading
 from typing import List, Optional, Tuple
 
-from repro.obs import metrics as obs_metrics
-from repro.obs import runtime as obs_runtime
-
 from repro.serve.request import QueryRequest
 
 
@@ -40,10 +37,6 @@ class AdmissionQueue:
         self._front_seq = 0
         self._closed = False
 
-    def _gauge(self) -> None:
-        if obs_runtime._enabled:
-            obs_metrics.gauge("serve.queue.depth").set(len(self._heap))
-
     # ------------------------------------------------------------------
     def offer(self, req: QueryRequest) -> bool:
         """Admit ``req``; False when the queue is full or closed."""
@@ -52,7 +45,6 @@ class AdmissionQueue:
                 return False
             self._seq += 1
             heapq.heappush(self._heap, (-req.priority, self._seq, req))
-            self._gauge()
             self._cond.notify()
             return True
 
@@ -63,7 +55,6 @@ class AdmissionQueue:
                 return False
             self._front_seq -= 1
             heapq.heappush(self._heap, (-req.priority, self._front_seq, req))
-            self._gauge()
             self._cond.notify()
             return True
 
@@ -76,7 +67,6 @@ class AdmissionQueue:
                 if not self._cond.wait(timeout):
                     return None
             _, _, req = heapq.heappop(self._heap)
-            self._gauge()
             return req
 
     # ------------------------------------------------------------------
@@ -94,6 +84,5 @@ class AdmissionQueue:
             self._closed = True
             leftovers = [req for _, _, req in sorted(self._heap)]
             self._heap.clear()
-            self._gauge()
             self._cond.notify_all()
             return leftovers

@@ -71,6 +71,12 @@ from repro.serve.request import (
 from repro.serve.stats import ServiceStats, Tally
 from repro.serve.workers import WorkerPool
 
+#: A request whose worker died is requeued until it has failed this many
+#: times, then poisoned (resolved ``failed``) instead of retried forever.
+MAX_ATTEMPTS = 2
+#: EWMA smoothing for the admission-time service estimate.
+_EWMA_ALPHA = 0.2
+
 
 @dataclass
 class ServiceConfig:
@@ -81,25 +87,17 @@ class ServiceConfig:
     default_deadline_s: Optional[float] = None
     default_max_iterations: Optional[int] = None
     triangle: bool = False
-    max_attempts: int = 2
     breaker_failure_threshold: int = 3
-    breaker_latency_threshold_s: Optional[float] = None
-    breaker_min_samples: int = 8
-    breaker_window: int = 64
     breaker_cooldown_s: float = 1.0
-    #: EWMA smoothing for the admission-time service estimate.
-    ewma_alpha: float = 0.2
     #: SLO specs tracked by the service (None = :func:`default_slos`).
     slo_specs: Optional[Sequence[SloSpec]] = None
     #: Re-evaluate SLO burn rates every N resolved requests.
     slo_eval_every: int = 32
     #: Tail-sampler tuning: retained-trace capacity, per-trace event cap,
-    #: the healthy-traffic head-sampling rate (1 in N), and the latency
-    #: above which an otherwise-healthy request is always retained.
+    #: and the healthy-traffic head-sampling rate (1 in N).
     trace_capacity: int = 256
     trace_max_events: int = 512
     trace_head_every: int = 16
-    trace_slow_ms: Optional[float] = 500.0
 
 
 class QueryService:
@@ -135,16 +133,12 @@ class QueryService:
         self._queue = AdmissionQueue(self.config.queue_capacity)
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_failure_threshold,
-            latency_threshold_s=self.config.breaker_latency_threshold_s,
-            min_samples=self.config.breaker_min_samples,
-            window=self.config.breaker_window,
             cooldown_s=self.config.breaker_cooldown_s,
         )
         self._pool = WorkerPool(self, self.config.workers)
         self._tally = Tally()
         self.traces = TraceStore(
             sampler=obs_trace.TailSampler(
-                slow_ms=self.config.trace_slow_ms,
                 head_every=self.config.trace_head_every,
             ),
             capacity=self.config.trace_capacity,
@@ -240,8 +234,6 @@ class QueryService:
                 )
                 return ticket
         self._tally.inc("admitted")
-        if obs_runtime._enabled:
-            obs_metrics.counter("serve.admitted").inc()
         return ticket
 
     def _admission_check(
@@ -318,10 +310,6 @@ class QueryService:
                 deadline_s=remaining, max_iterations=req.max_iterations
             )
         shed = not self.breaker.allow_completion()
-        if shed:
-            self._tally.inc("shed_completions")
-            if obs_runtime._enabled:
-                obs_metrics.counter("serve.shed").inc()
         spec = get_spec(req.query)
         t0 = self._clock()
         if self.epochs is not None:
@@ -336,12 +324,11 @@ class QueryService:
                 )
         service_s = self._clock() - t0
 
-        alpha = self.config.ewma_alpha
         with self._cond:
             prior = self._ewma_service_s
             self._ewma_service_s = (
                 service_s if prior is None
-                else alpha * service_s + (1.0 - alpha) * prior
+                else _EWMA_ALPHA * service_s + (1.0 - _EWMA_ALPHA) * prior
             )
 
         if shed:
@@ -356,11 +343,8 @@ class QueryService:
         else:
             status = STATUS_OK
             self.breaker.record_success(res.phase2.wall_time)
-        if stale is not None:
-            self._tally.inc("stale_answers")
-            if obs_runtime._enabled:
-                obs_metrics.counter("evolve.stale_answers").inc()
-                obs_metrics.gauge("evolve.epoch_lag").set(stale.epoch_lag)
+        if stale is not None and obs_runtime._enabled:
+            obs_metrics.gauge("evolve.epoch_lag").set(stale.epoch_lag)
         return Outcome(
             request=req, status=status, result=res, shed=shed,
             wait_s=wait_s, service_s=service_s,
@@ -423,34 +407,10 @@ class QueryService:
             self._cond.notify_all()
 
     def _account_and_finish(self, req: QueryRequest, outcome: Outcome) -> None:
-        """Tally the outcome, close its trace, and journal the wide events."""
-        if outcome.status == STATUS_OK:
-            self._tally.inc("completed")
-        elif outcome.status == STATUS_DEGRADED:
-            self._tally.inc("degraded")
-        elif outcome.status == STATUS_FAILED:
-            self._tally.inc("failed")
-        else:
-            assert outcome.rejection is not None
-            self._tally.inc(f"rejected_{outcome.rejection.reason}")
-        terminal_latency_ms: Optional[float] = None
-        if outcome.status in (STATUS_OK, STATUS_DEGRADED):
-            terminal_latency_ms = outcome.service_s * 1000.0
-            self._tally.observe_latency(outcome.service_s, req.trace_id)
-            self._tally.observe_wait(outcome.wait_s, req.trace_id)
-        self.slo.record(
-            failed=outcome.status == STATUS_FAILED,
-            degraded=outcome.status == STATUS_DEGRADED,
-            shed=outcome.shed,
-            latency_ms=terminal_latency_ms,
-        )
-        self._maybe_evaluate_slo()
-
-        # Close the trace: build the explain record, let the tail sampler
-        # decide retention on the end-to-end latency, then stamp the
-        # sampling verdict back onto the (shared) explain dict so the
-        # retained trace and the journal carry it.
-        explain = build_explain(
+        """Settle one terminal request: build its explain record once;
+        the tally, the SLO sample, the sampling verdict, the root span
+        and the journaled wide event are all read off it."""
+        rec = build_explain(
             req, outcome,
             breaker_state=str(self.breaker.snapshot()["state"]),
             cg_edge_fraction=self._cg_edge_fraction,
@@ -460,53 +420,37 @@ class QueryService:
                 None if self.maintainer is None
                 else self.maintainer.durability()
             ),
-        ).to_dict()
-        total_ms = (outcome.wait_s + outcome.service_s) * 1000.0
+        )
+        self._tally.settle(rec)
+        self.slo.record(
+            failed=rec.status == STATUS_FAILED,
+            degraded=rec.status == STATUS_DEGRADED,
+            shed=rec.shed,
+            latency_ms=(
+                rec.service_ms
+                if rec.status in (STATUS_OK, STATUS_DEGRADED) else None
+            ),
+        )
+        self._maybe_evaluate_slo()
+
+        # Close the trace: the tail sampler decides retention on the
+        # end-to-end latency, then the verdict is stamped back onto the
+        # (shared) explain dict so the retained trace and the journal
+        # both carry it.
+        explain = rec.to_dict()
         sample_reason: Optional[str] = None
         if req.trace is not None:
             sample_reason = self.traces.finish(
-                req.trace.trace_id, outcome.status,
-                latency_ms=total_ms, shed=outcome.shed, explain=explain,
+                req.trace.trace_id, rec.status,
+                latency_ms=rec.queue_wait_ms + rec.service_ms,
+                shed=rec.shed, explain=explain,
             )
         explain["sampled"] = sample_reason is not None
         if sample_reason is not None:
             explain["sample_reason"] = sample_reason
 
         if obs_runtime._enabled:
-            if outcome.status == STATUS_OK:
-                obs_metrics.counter("serve.completed").inc()
-                obs_metrics.stream_hist("serve.latency_ms").observe(
-                    outcome.service_s * 1000.0, exemplar=req.trace_id
-                )
-                obs_metrics.stream_hist("serve.queue_wait_ms").observe(
-                    outcome.wait_s * 1000.0, exemplar=req.trace_id
-                )
-            elif outcome.status == STATUS_DEGRADED:
-                obs_metrics.counter("serve.degraded").inc()
-                obs_metrics.stream_hist("serve.latency_ms").observe(
-                    outcome.service_s * 1000.0, exemplar=req.trace_id
-                )
-                obs_metrics.stream_hist("serve.queue_wait_ms").observe(
-                    outcome.wait_s * 1000.0, exemplar=req.trace_id
-                )
-            elif outcome.status == STATUS_REJECTED:
-                assert outcome.rejection is not None
-                obs_metrics.counter(
-                    "serve.rejected", reason=outcome.rejection.reason
-                ).inc()
             self._emit_root_span(req, outcome)
-            obs_journal.emit({
-                "type": "event", "name": "serve.request",
-                "request": req.id, "query": req.query,
-                "status": outcome.status,
-                "reason": (
-                    outcome.rejection.reason if outcome.rejection else None
-                ),
-                "shed": outcome.shed,
-                "attempts": req.attempts,
-                "wait_ms": round(outcome.wait_s * 1000.0, 3),
-                "service_ms": round(outcome.service_s * 1000.0, 3),
-            })
             obs_journal.emit({
                 "type": "event", "name": "serve.explain", **explain,
             })
@@ -546,10 +490,8 @@ class QueryService:
             still_open = req.id in self._tickets
         if not still_open:
             return  # the crash landed after resolution; nothing to redo
-        if req.attempts >= self.config.max_attempts:
+        if req.attempts >= MAX_ATTEMPTS:
             self._tally.inc("poisoned")
-            if obs_runtime._enabled:
-                obs_metrics.counter("serve.poisoned").inc()
             self._resolve(
                 req,
                 Outcome(
@@ -559,8 +501,6 @@ class QueryService:
             )
             return
         self._tally.inc("requeued")
-        if obs_runtime._enabled:
-            obs_metrics.counter("serve.requeued").inc()
         if not self._queue.requeue(req):
             self._resolve(
                 req,
@@ -578,7 +518,6 @@ class QueryService:
     ) -> None:
         self._tally.inc("worker_restarts")
         if obs_runtime._enabled:
-            obs_metrics.counter("serve.worker.restarts").inc()
             obs_journal.emit({
                 "type": "event", "name": "serve.worker.restart",
                 "worker": wid, "restarts": restarts,
@@ -629,34 +568,28 @@ class QueryService:
         self._pool.stop(timeout)
         obs_trace.uninstall_collector(self.traces.record)
         if obs_runtime._enabled:
+            stats = self.stats()
             obs_journal.emit({
-                "type": "event", "name": "serve.stats",
-                **self.stats().to_dict(),
+                "type": "event", "name": "serve.stats", **stats.to_dict(),
             })
+            # Fold the tally into the registry once, so ``--metrics``
+            # tables and the journal's closing snapshot carry its rows.
+            for kind, name, labels, value in self._tally_rows(stats):
+                if kind == "stream_hist":
+                    obs_metrics.stream_hist(name).merge(value.snapshot())
+                elif value:
+                    obs_metrics.counter(name, **dict(labels)).inc(value)
 
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
-        c = self._tally.counts()
         snap = self.breaker.snapshot()
         return ServiceStats(
-            submitted=c.get("submitted", 0),
-            admitted=c.get("admitted", 0),
-            rejected_queue_full=c.get("rejected_queue_full", 0),
-            rejected_deadline=c.get("rejected_deadline_unmeetable", 0),
-            rejected_shutdown=c.get("rejected_shutdown", 0),
-            completed=c.get("completed", 0),
-            degraded=c.get("degraded", 0),
-            shed_completions=c.get("shed_completions", 0),
-            failed=c.get("failed", 0),
-            poisoned=c.get("poisoned", 0),
-            requeued=c.get("requeued", 0),
-            worker_restarts=c.get("worker_restarts", 0),
+            **self._tally.counts(),
             breaker_trips=int(snap["trips"]),
             breaker_state=str(snap["state"]),
             queue_depth=self._queue.depth(),
-            latency_p50_ms=self._tally.percentile_ms(0.50),
-            latency_p95_ms=self._tally.percentile_ms(0.95),
-            stale_answers=c.get("stale_answers", 0),
+            latency_p50_ms=self._tally.latency_ms.quantile(0.50),
+            latency_p95_ms=self._tally.latency_ms.quantile(0.95),
             graph_epoch=(
                 0 if self.epochs is None else self.epochs.latest_number()
             ),
@@ -664,11 +597,20 @@ class QueryService:
 
     def latency_snapshot(self):
         """Immutable snapshot of the full service-latency distribution."""
-        return self._tally.latency_snapshot()
+        return self._tally.latency_ms.snapshot()
 
     def wait_snapshot(self):
         """Immutable snapshot of the queue-wait distribution."""
-        return self._tally.wait_snapshot()
+        return self._tally.wait_ms.snapshot()
+
+    def _tally_rows(self, stats: ServiceStats) -> List[prom.Row]:
+        """The tally as exporter rows: every counted stats field plus the
+        two full-run histograms."""
+        return [
+            *stats.counter_rows(),
+            ("stream_hist", "serve.latency_ms", (), self._tally.latency_ms),
+            ("stream_hist", "serve.queue_wait_ms", (), self._tally.wait_ms),
+        ]
 
     # ------------------------------------------------------------------
     # Live observability plane (scrape exporter + SLO surfaces)
@@ -703,40 +645,21 @@ class QueryService:
 
         Independent of the telemetry switch (the tally always counts), so
         a scraper sees accurate service series even on ``--metrics``-less
-        runs. The exporter gives these rows precedence over the registry's
-        telemetry-gated twins of the same names.
+        runs. The exporter renders these rows before the registry, so a
+        live service's series win over the totals closed ones folded in.
         """
         stats = self.stats()
         rows: List[prom.Row] = [
-            ("counter", "serve.submitted", (), stats.submitted),
-            ("counter", "serve.admitted", (), stats.admitted),
-            ("counter", "serve.completed", (), stats.completed),
-            ("counter", "serve.degraded", (), stats.degraded),
-            ("counter", "serve.shed", (), stats.shed_completions),
-            ("counter", "serve.failed", (), stats.failed),
-            ("counter", "serve.poisoned", (), stats.poisoned),
-            ("counter", "serve.requeued", (), stats.requeued),
-            ("counter", "serve.worker.restarts", (), stats.worker_restarts),
-            ("counter", "serve.rejected", (("reason", "queue_full"),),
-             stats.rejected_queue_full),
-            ("counter", "serve.rejected", (("reason", "deadline_unmeetable"),),
-             stats.rejected_deadline),
-            ("counter", "serve.rejected", (("reason", "shutdown"),),
-             stats.rejected_shutdown),
+            *self._tally_rows(stats),
             ("gauge", "serve.queue_depth", (), stats.queue_depth),
             ("gauge", "serve.workers_alive", (), self._pool.alive_count()),
             ("gauge", "serve.breaker.trips", (), stats.breaker_trips),
             ("gauge", "serve.lost", (), stats.lost),
-            ("stream_hist", "serve.latency_ms", (),
-             self._tally.latency_histogram()),
-            ("stream_hist", "serve.queue_wait_ms", (),
-             self._tally.wait_histogram()),
         ]
         if self.epochs is not None:
             rows.extend([
                 ("gauge", "evolve.epoch", (), stats.graph_epoch),
                 ("gauge", "evolve.pinned", (), self.epochs.pinned_count()),
-                ("counter", "evolve.stale_answers", (), stats.stale_answers),
             ])
         wal = getattr(self.maintainer, "wal", None)
         if wal is not None:

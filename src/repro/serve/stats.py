@@ -1,11 +1,12 @@
 """Service-level accounting, independent of the telemetry switch.
 
-The service keeps its own thread-safe tallies (plain ints under a lock)
-so :class:`ServiceStats` is always available — even when telemetry is off
-and nothing feeds the metrics registry. With telemetry on, the same
-increments are mirrored into :mod:`repro.obs.metrics` under the
-``serve.*`` names and summarized as a ``serve.stats`` journal event that
-``repro-coregraph obs report`` renders in its Resilience table.
+The service keeps its own thread-safe :class:`Tally` (plain ints under a
+lock, keyed by the :class:`ServiceStats` field names) so stats are always
+available — even when telemetry is off and nothing feeds the metrics
+registry. Each counted field names the ``/metrics`` series it is exported
+as, so the snapshot, the ``serve.stats`` journal event that
+``repro-coregraph obs report`` renders in its Resilience table, and the
+exporter rows are all the same fields read three ways.
 
 The load-bearing identity is :meth:`ServiceStats.lost`::
 
@@ -18,28 +19,46 @@ resolves, even across worker kills, breaker trips, and shutdown.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.live.hist import HistogramSnapshot, StreamingHistogram
+from repro.obs.live.hist import StreamingHistogram
+from repro.serve.request import (
+    REASON_DEADLINE,
+    REASON_QUEUE_FULL,
+    REASON_SHUTDOWN,
+    STATUS_DEGRADED,
+    STATUS_FAILED,
+    STATUS_OK,
+)
+
+
+def _counted(metric: str, **labels: str) -> Any:
+    """A :class:`Tally`-backed counter field exported as ``metric``."""
+    return field(
+        default=0,
+        metadata={"metric": metric, "labels": tuple(labels.items())},
+    )
 
 
 @dataclass
 class ServiceStats:
     """Point-in-time snapshot of a :class:`~repro.serve.service.QueryService`."""
 
-    submitted: int = 0
-    admitted: int = 0
-    rejected_queue_full: int = 0
-    rejected_deadline: int = 0
-    rejected_shutdown: int = 0
-    completed: int = 0
-    degraded: int = 0
-    shed_completions: int = 0
-    failed: int = 0
-    poisoned: int = 0
-    requeued: int = 0
-    worker_restarts: int = 0
+    submitted: int = _counted("serve.submitted")
+    admitted: int = _counted("serve.admitted")
+    completed: int = _counted("serve.completed")
+    degraded: int = _counted("serve.degraded")
+    shed_completions: int = _counted("serve.shed")
+    failed: int = _counted("serve.failed")
+    poisoned: int = _counted("serve.poisoned")
+    rejected_queue_full: int = _counted(
+        "serve.rejected", reason=REASON_QUEUE_FULL
+    )
+    rejected_deadline: int = _counted("serve.rejected", reason=REASON_DEADLINE)
+    rejected_shutdown: int = _counted("serve.rejected", reason=REASON_SHUTDOWN)
+    requeued: int = _counted("serve.requeued")
+    worker_restarts: int = _counted("serve.worker.restarts")
     breaker_trips: int = 0
     breaker_state: str = "closed"
     queue_depth: int = 0
@@ -48,7 +67,7 @@ class ServiceStats:
     #: Answers computed on an epoch that was superseded before resolve
     #: (live-graph services only; every one carries a staleness
     #: certificate — the chaos job asserts certified == stale).
-    stale_answers: int = 0
+    stale_answers: int = _counted("evolve.stale_answers")
     #: Current epoch number (0 for static services).
     graph_epoch: int = 0
 
@@ -71,28 +90,16 @@ class ServiceStats:
         return self.submitted - self.resolved
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "degraded": self.degraded,
-            "shed_completions": self.shed_completions,
-            "failed": self.failed,
-            "poisoned": self.poisoned,
-            "rejected_queue_full": self.rejected_queue_full,
-            "rejected_deadline": self.rejected_deadline,
-            "rejected_shutdown": self.rejected_shutdown,
-            "requeued": self.requeued,
-            "worker_restarts": self.worker_restarts,
-            "breaker_trips": self.breaker_trips,
-            "breaker_state": self.breaker_state,
-            "queue_depth": self.queue_depth,
-            "latency_p50_ms": self.latency_p50_ms,
-            "latency_p95_ms": self.latency_p95_ms,
-            "stale_answers": self.stale_answers,
-            "graph_epoch": self.graph_epoch,
-            "lost": self.lost,
-        }
+        return {**asdict(self), "lost": self.lost}
+
+    def counter_rows(self) -> List[Tuple[str, str, tuple, int]]:
+        """One exporter ``("counter", name, labels, value)`` row per
+        counted field."""
+        return [
+            ("counter", f.metadata["metric"], f.metadata["labels"],
+             getattr(self, f.name))
+            for f in _COUNTED
+        ]
 
     def render(self) -> str:
         """Aligned text table (the ``serve --smoke`` report)."""
@@ -103,57 +110,54 @@ class ServiceStats:
         )
 
 
+_COUNTED = tuple(f for f in fields(ServiceStats) if f.metadata)
+#: Which counter one terminal request lands in: by status, or for
+#: rejections by the reason label of the matching ``serve.rejected`` field.
+_STATUS_KEY = {
+    STATUS_OK: "completed", STATUS_DEGRADED: "degraded", STATUS_FAILED: "failed",
+}
+_REASON_KEY = {
+    reason: f.name for f in _COUNTED
+    for _, reason in f.metadata["labels"]
+}
+
+
 class Tally:
     """Thread-safe counters + full-run streaming latency histograms.
 
     Latency and queue-wait distributions are log-bucketed streaming
     histograms (:mod:`repro.obs.live.hist`): constant memory, every
-    observation retained. The bounded reservoir this replaces kept only
-    the most recent 512 samples, so saturation benchmarks reported
-    percentiles of the run's *tail* instead of the run.
+    observation retained, percentiles of the whole run.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {}
-        self._latency_ms = StreamingHistogram()
-        self._wait_ms = StreamingHistogram()
+        self._counts: Dict[str, int] = {f.name: 0 for f in _COUNTED}
+        self.latency_ms = StreamingHistogram()
+        self.wait_ms = StreamingHistogram()
 
-    def inc(self, key: str, amount: int = 1) -> None:
+    def inc(self, key: str) -> None:
         with self._lock:
-            self._counts[key] = self._counts.get(key, 0) + amount
+            self._counts[key] += 1
 
-    def get(self, key: str) -> int:
+    def settle(self, explain: Any) -> None:
+        """Count one terminal request off its explain record: its status
+        (or rejection reason), a shed completion, a stale answer and, for
+        served requests, both timings."""
+        key = _STATUS_KEY.get(explain.status) or _REASON_KEY[explain.reason]
         with self._lock:
-            return self._counts.get(key, 0)
-
-    def observe_latency(
-        self, service_s: float, trace_id: Optional[str] = None
-    ) -> None:
-        self._latency_ms.observe(service_s * 1000.0, exemplar=trace_id)
-
-    def observe_wait(
-        self, wait_s: float, trace_id: Optional[str] = None
-    ) -> None:
-        self._wait_ms.observe(wait_s * 1000.0, exemplar=trace_id)
-
-    def percentile_ms(self, q: float) -> Optional[float]:
-        return self._latency_ms.quantile(q)
-
-    def latency_snapshot(self) -> HistogramSnapshot:
-        """Full-run service-latency distribution (milliseconds)."""
-        return self._latency_ms.snapshot()
-
-    def wait_snapshot(self) -> HistogramSnapshot:
-        """Full-run queue-wait distribution (milliseconds)."""
-        return self._wait_ms.snapshot()
-
-    def latency_histogram(self) -> StreamingHistogram:
-        """The live latency histogram (exporters render it directly)."""
-        return self._latency_ms
-
-    def wait_histogram(self) -> StreamingHistogram:
-        return self._wait_ms
+            self._counts[key] += 1
+            if explain.shed:
+                self._counts["shed_completions"] += 1
+            if explain.staleness is not None:
+                self._counts["stale_answers"] += 1
+        if explain.status in (STATUS_OK, STATUS_DEGRADED):
+            self.latency_ms.observe(
+                explain.service_ms, exemplar=explain.trace_id
+            )
+            self.wait_ms.observe(
+                explain.queue_wait_ms, exemplar=explain.trace_id
+            )
 
     def counts(self) -> Dict[str, int]:
         with self._lock:

@@ -104,6 +104,20 @@ def test_merge_rejects_mismatched_schemes():
     b = StreamingHistogram(BucketScheme(least=1.0)).snapshot()
     with pytest.raises(ValueError, match="scheme"):
         a.merge(b)
+    with pytest.raises(ValueError, match="scheme"):
+        StreamingHistogram().merge(b)
+
+
+def test_live_histogram_folds_a_snapshot_in_like_snapshot_merge():
+    live, other = StreamingHistogram(), StreamingHistogram()
+    live.observe(3.0, exemplar="t-old")
+    other.observe(3.0, exemplar="t-new")
+    other.observe(700.0)
+    expected = live.snapshot().merge(other.snapshot())
+    live.merge(other.snapshot())
+    assert live.snapshot() == expected
+    live.merge(StreamingHistogram().snapshot())  # folding nothing is a no-op
+    assert live.snapshot() == expected
 
 
 def test_delta_recovers_the_interval():

@@ -67,6 +67,26 @@ def test_summary_rolls_up_per_name():
     assert "repeated" in spans.render_summary()
 
 
+def test_records_are_a_bounded_window_but_the_summary_stays_exact():
+    """A long-lived traced service must not grow without bound: records()
+    keeps the most recent window, summary() still counts every span."""
+    obs.enable()
+    opened = spans.RECORDS_WINDOW + 37
+    for i in range(opened):
+        with obs.span("even" if i % 2 == 0 else "odd", i=i):
+            pass
+    recs = spans.records()
+    assert len(recs) == spans.RECORDS_WINDOW
+    assert recs[-1].attrs["i"] == opened - 1  # most recent kept
+    assert recs[0].attrs["i"] == opened - spans.RECORDS_WINDOW
+    rollup = spans.summary()
+    assert rollup["even"]["count"] == (opened + 1) // 2
+    assert rollup["odd"]["count"] == opened // 2
+    assert rollup["even"]["min_s"] <= rollup["even"]["max_s"]
+    spans.reset()
+    assert spans.records() == [] and spans.summary() == {}
+
+
 def test_threads_have_independent_stacks():
     obs.enable()
     seen = {}

@@ -6,12 +6,19 @@ worker -> engine phases, zero orphan spans), and the tail sampler must
 provably retain every degraded/failed trace under bounded memory.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import obs
+from repro.evolve import EpochMaintainer, next_batch
 from repro.obs import traceview
+from repro.obs.metrics import format_metric
+from repro.queries import SSSP
 from repro.resilience import faults
+from repro.resilience.anytime import certificate_counts
 from repro.serve import QueryService, ServiceConfig
+from repro.serve import service as service_mod
 
 
 @pytest.fixture(autouse=True)
@@ -54,7 +61,8 @@ class TestExplainContent:
         assert 0.0 < ex["cg_edge_fraction"] < 1.0
         assert ex["hubs"] == 8
         assert 0.0 <= ex["certified_fraction"] <= 1.0
-        assert set(ex["certificate"]) == {"exact", "approx", "unreached"}
+        assert ex["certificate"] == certificate_counts(out.certificate)
+        assert ex["certificate"]["exact"] >= 1  # the source, at least
         assert ex["queue_wait_ms"] >= 0.0
         assert ex["service_ms"] > 0.0
         assert ex["breaker_state"]
@@ -123,6 +131,191 @@ class TestExplainContent:
         assert stats["traces"] <= 8
         assert stats["events"] <= 8 * 16
         assert stats["evicted"] >= 1
+        assert svc.stats().lost == 0
+
+
+def _explains(journal_path):
+    return [
+        ev for ev in obs.read_events(journal_path)
+        if ev.get("type") == "event" and ev.get("name") == "serve.explain"
+    ]
+
+
+def _drive_ok(svc, phase1):
+    svc.submit("SSSP", source=0)
+
+
+def _drive_budget_degraded(svc, phase1):
+    svc.submit("SSSP", source=0, max_iterations=phase1 + 1)
+
+
+def _drive_shed_degraded(svc, phase1):
+    # The first Completion-Phase blowup trips the breaker (threshold 1,
+    # cooldown an hour); the next request's completion is shed.
+    svc.submit("SSSP", source=0, max_iterations=phase1 + 1).result(30.0)
+    svc.submit("SSSP", source=1)
+
+
+def _drive_queue_full(svc, phase1):
+    svc._pool.pause()
+    for _ in range(4):  # capacity 2: two admitted, two turned away
+        svc.submit("SSSP", source=0)
+    svc._pool.resume()
+
+
+def _drive_deadline_unmeetable(svc, phase1):
+    svc.submit("SSSP", source=0, deadline_s=-1.0)
+
+
+def _drive_shutdown(svc, phase1):
+    svc._pool.pause()  # never resumed: close() resolves the backlog
+    for _ in range(3):
+        svc.submit("SSSP", source=0)
+
+
+def _drive_failed(svc, phase1):
+    faults.install("serve.worker.request", "crash", at_hit=1, repeat=True)
+    svc.submit("SSSP", source=0)
+
+
+#: kind -> (ServiceConfig overrides, driver, the explain (status, reason,
+#: shed) it must produce at least once)
+TERMINAL_KINDS = {
+    "ok": ({}, _drive_ok, ("ok", None, False)),
+    "budget_degraded": (
+        {}, _drive_budget_degraded, ("degraded", None, False)),
+    "shed_degraded": (
+        {"breaker_failure_threshold": 1, "breaker_cooldown_s": 3600.0},
+        _drive_shed_degraded, ("degraded", None, True)),
+    "queue_full": (
+        {"queue_capacity": 2}, _drive_queue_full,
+        ("rejected", "queue_full", False)),
+    "deadline_unmeetable": (
+        {}, _drive_deadline_unmeetable,
+        ("rejected", "deadline_unmeetable", False)),
+    "shutdown": ({}, _drive_shutdown, ("rejected", "shutdown", False)),
+    "failed": ({}, _drive_failed, ("failed", None, False)),
+    "stale": ({}, _drive_ok, ("ok", None, False)),
+}
+
+
+class TestOneTerminalRecord:
+    """Every terminal kind is counted once: the ServiceStats snapshot, the
+    exporter rows, the registry totals folded at close() and the journaled
+    ``serve.explain`` events are the same numbers."""
+
+    @pytest.mark.parametrize("kind", sorted(TERMINAL_KINDS))
+    def test_stats_rows_and_explain_events_agree(
+        self, kind, serve_graph, serve_cg, phase1_iterations, tmp_path,
+        monkeypatch,
+    ):
+        overrides, drive, (status, reason, shed) = TERMINAL_KINDS[kind]
+        config = ServiceConfig(workers=1, **overrides)
+        if kind == "stale":
+            # A live service whose every execution is overtaken by a
+            # mutation batch: each answer resolves on a superseded epoch.
+            maintainer = EpochMaintainer(serve_graph, SSSP, num_hubs=8)
+            real_two_phase = service_mod.two_phase
+
+            def overtaken(*args, **kwargs):
+                batch = next_batch(maintainer.graph, 0, batch_size=4, seed=3)
+                maintainer.apply(batch.inserts, batch.deletes)
+                return real_two_phase(*args, **kwargs)
+
+            monkeypatch.setattr(service_mod, "two_phase", overtaken)
+            svc = QueryService(config=config, epochs=maintainer.store)
+        else:
+            svc = QueryService(serve_graph, serve_cg, config)
+        journal_path = tmp_path / f"{kind}.jsonl"
+        with obs.telemetry(trace_path=journal_path):
+            with svc:
+                drive(svc, phase1_iterations)
+                if kind != "shutdown":
+                    assert svc.drain(timeout=60.0)
+        stats = svc.stats()
+        explains = _explains(journal_path)
+        assert any(
+            (e["status"], e.get("reason"), e["shed"]) == (status, reason, shed)
+            and ("staleness" in e) == (kind == "stale")
+            for e in explains
+        ), f"no {kind} request among {explains}"
+
+        by_status = Counter(e["status"] for e in explains)
+        by_reason = Counter(e.get("reason") for e in explains)
+        expected = {
+            "submitted": len(explains),
+            "completed": by_status["ok"],
+            "degraded": by_status["degraded"],
+            "failed": by_status["failed"],
+            "rejected_queue_full": by_reason["queue_full"],
+            "rejected_deadline": by_reason["deadline_unmeetable"],
+            "rejected_shutdown": by_reason["shutdown"],
+            "shed_completions": sum(e["shed"] for e in explains),
+            "stale_answers": sum("staleness" in e for e in explains),
+        }
+        assert {k: getattr(stats, k) for k in expected} == expected
+        assert stats.rejected == by_status["rejected"]
+        if kind != "shutdown":
+            # (a backlog entry closed out before any worker saw it has no
+            # queue wait, which the explain record reads as "not admitted")
+            assert stats.admitted == sum(e["admitted"] for e in explains)
+        assert stats.lost == 0
+
+        rows = {
+            format_metric(name, labels): value
+            for _, name, labels, value in svc.metric_rows()
+        }
+        served = by_status["ok"] + by_status["degraded"]
+        scraped = {
+            "serve.submitted": len(explains),
+            "serve.admitted": stats.admitted,
+            "serve.completed": by_status["ok"],
+            "serve.degraded": by_status["degraded"],
+            "serve.failed": by_status["failed"],
+            "serve.poisoned": by_status["failed"],
+            "serve.shed": expected["shed_completions"],
+            'serve.rejected{reason="queue_full"}': by_reason["queue_full"],
+            'serve.rejected{reason="deadline_unmeetable"}':
+                by_reason["deadline_unmeetable"],
+            'serve.rejected{reason="shutdown"}': by_reason["shutdown"],
+            "evolve.stale_answers": expected["stale_answers"],
+            "serve.lost": 0,
+        }
+        assert {k: rows[k] for k in scraped} == scraped
+        assert rows["serve.latency_ms"].count == served
+        assert rows["serve.queue_wait_ms"].count == served
+
+        # close() folded the same totals into the registry, so the
+        # journal's closing snapshot (and --metrics tables) carry them.
+        (closing,) = [
+            ev["metrics"] for ev in obs.read_events(journal_path)
+            if ev.get("type") == "metrics"
+        ]
+        for key, value in scraped.items():
+            if key != "serve.lost":
+                assert closing.get(key, 0) == value, key
+        assert closing["serve.latency_ms"]["count"] == served
+
+    def test_one_wide_event_per_request_and_no_request_event(
+        self, serve_graph, serve_cg, tmp_path
+    ):
+        journal_path = tmp_path / "smoke.jsonl"
+        with obs.telemetry(trace_path=journal_path):
+            with service(serve_graph, serve_cg) as svc:
+                for i in range(32):
+                    svc.submit("SSSP", source=i % 16)
+                assert svc.drain(timeout=120.0)
+        events = obs.read_events(journal_path)
+        assert len(_explains(journal_path)) == 32
+        assert not [
+            ev for ev in events
+            if ev.get("type") == "event" and ev.get("name") == "serve.request"
+        ]
+        roots = [
+            ev for ev in events
+            if ev.get("type") == "span" and ev.get("name") == "serve.request"
+        ]
+        assert len(roots) == 32
         assert svc.stats().lost == 0
 
 

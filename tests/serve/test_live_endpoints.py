@@ -11,6 +11,7 @@ import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.obs.live import prom
 from repro.obs.live.slo import SloSpec
 from repro.resilience import faults
@@ -66,6 +67,32 @@ class TestMetricsEndpoint:
             assert parsed["proc_threads"]["proc_threads"] >= 1
         assert svc.stats().lost == 0
 
+    def test_family_names_do_not_depend_on_the_telemetry_switch(
+        self, serve_graph, serve_cg
+    ):
+        """The service's series come from its always-on tally, so turning
+        telemetry on adds engine/obs families but leaves these alone."""
+
+        def scrape():
+            with service(serve_graph, serve_cg) as svc:
+                exporter = svc.start_exporter(port=0)
+                for s in range(4):
+                    svc.submit("SSSP", source=s)
+                assert svc.drain(timeout=60.0)
+                _, body = _get(exporter.url("/metrics"))
+            assert svc.stats().lost == 0
+            return {
+                family for family in prom.parse(body)
+                if family.startswith(("serve_", "evolve_"))
+            }
+
+        off = scrape()
+        with obs.telemetry():
+            on = scrape()
+        obs.reset()
+        assert "serve_completed_total" in off
+        assert on == off
+
     def test_exporter_stops_with_service_close(self, serve_graph, serve_cg):
         svc = service(serve_graph, serve_cg)
         exporter = svc.start_exporter(port=0)
@@ -117,7 +144,23 @@ class TestStatz:
         assert svc.stats().lost == 0
 
 
+#: ``ServiceStats.to_dict()`` feeds /statz, the ``serve.stats`` journal
+#: event and ``obs report``: the key list (and order) is an interface.
+STATS_KEYS = [
+    "submitted", "admitted", "completed", "degraded", "shed_completions",
+    "failed", "poisoned", "rejected_queue_full", "rejected_deadline",
+    "rejected_shutdown", "requeued", "worker_restarts", "breaker_trips",
+    "breaker_state", "queue_depth", "latency_p50_ms", "latency_p95_ms",
+    "stale_answers", "graph_epoch", "lost",
+]
+
+
 class TestServiceStatsPercentiles:
+    def test_to_dict_keys_are_stable(self, serve_graph, serve_cg):
+        with service(serve_graph, serve_cg) as svc:
+            svc.submit("SSSP", source=0).result(timeout=30.0)
+        assert list(svc.stats().to_dict()) == STATS_KEYS
+
     def test_percentiles_cover_the_full_run(self, serve_graph, serve_cg):
         """The streaming histogram sees every completion, not a window."""
         with service(serve_graph, serve_cg) as svc:
