@@ -92,6 +92,7 @@ class EvolvingCoreGraph:
         probe_sources: int = 3,
         probe_seed: int = 7,
         cg: Optional[CoreGraph] = None,
+        triangle_safe: bool = True,
     ) -> None:
         self.spec = spec
         self.num_hubs = num_hubs
@@ -99,14 +100,14 @@ class EvolvingCoreGraph:
         self.probe_sources = probe_sources
         self.probe_seed = probe_seed
         self.graph = g
-        # ``cg`` lets recovery re-adopt a persisted proxy (snapshot +
-        # WAL replay) without re-running Algorithm 1/2; fresh
-        # construction identifies the CG from scratch.
+        # ``cg`` (with ``triangle_safe``: do its hub values still describe
+        # ``g``?) lets recovery resume a persisted pair without re-running
+        # Algorithm 1/2; fresh construction identifies the CG from scratch.
         self.cg: CoreGraph = (
             cg if cg is not None else build_cg(g, spec, num_hubs=num_hubs)
         )
         self.stats = MaintenanceStats()
-        self._triangle_safe = True
+        self._triangle_safe = triangle_safe
 
     @property
     def triangle_safe(self) -> bool:
@@ -212,16 +213,24 @@ class EvolvingCoreGraph:
         queries; ``progress(done, total)`` is invoked after each hub so a
         supervised rebuilder can checkpoint between hubs.
         """
-        kwargs = {}
-        if budget is not None:
-            kwargs["budget"] = budget
-        if progress is not None:
-            kwargs["progress"] = progress
-        self.cg = build_cg(
-            self.graph, self.spec, num_hubs=self.num_hubs, **kwargs
+        self.adopt(
+            build_cg(
+                self.graph, self.spec, num_hubs=self.num_hubs,
+                budget=budget, progress=progress,
+            ),
+            triangle_safe=True,
         )
+
+    def adopt(self, cg: CoreGraph, triangle_safe: bool) -> None:
+        """Replace the proxy with ``cg``, a rebuild's result.
+
+        ``cg`` must be a subgraph of the current graph with its mask over
+        this graph's edge array; ``triangle_safe`` says whether its hub
+        values were computed on exactly this graph.
+        """
+        self.cg = cg
         self.stats.rebuilds += 1
-        self._triangle_safe = True
+        self._triangle_safe = triangle_safe
 
     def __repr__(self) -> str:
         return (

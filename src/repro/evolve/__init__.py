@@ -21,10 +21,11 @@ background:
   tests, chaos runs, and benchmarks;
 * :mod:`repro.evolve.wal` — segmented CRC-checksummed write-ahead log of
   mutation batches (durable append before every ack);
-* :mod:`repro.evolve.snapshot` — atomic epoch-stamped full-graph
-  snapshots anchoring WAL compaction;
+* :mod:`repro.evolve.snapshot` — atomic snapshots (an ``Epoch`` in, an
+  ``Epoch`` out) anchoring WAL compaction;
 * :mod:`repro.evolve.recovery` — recovery-on-start: latest valid
-  snapshot plus WAL tail replay back to the exact pre-crash epoch.
+  snapshot plus the WAL tail replayed through the maintainer's own
+  transitions, back to the exact pre-crash epoch.
 """
 
 from repro.evolve.certificate import StalenessCertificate
@@ -37,7 +38,7 @@ from repro.evolve.recovery import (
     RecoveryVerifyError,
     recover,
 )
-from repro.evolve.snapshot import LoadedSnapshot, SnapshotError, SnapshotStore
+from repro.evolve.snapshot import SnapshotError, SnapshotStore
 from repro.evolve.stream import MutationBatch, next_batch
 from repro.evolve.wal import (
     CorruptWalError,
@@ -54,7 +55,6 @@ __all__ = [
     "Epoch",
     "EpochStore",
     "EpochMaintainer",
-    "LoadedSnapshot",
     "MutationBatch",
     "RebuildStats",
     "RebuildSupervisor",

@@ -13,23 +13,28 @@ certificates die on any churn). This module adds the serving discipline:
   visibility;
 * **non-blocking rebuilds** — Algorithm 1/2 runs against an immutable
   graph snapshot *outside* the writer lock; installation rebases the new
-  CG onto whatever the graph has become (dropping CG edges deleted in the
-  meantime — the ``CG ⊆ G`` invariant), so mutations keep flowing during
-  the rebuild.
+  CG onto whatever the graph has become (keeping exactly the
+  ``(u, v, w)`` edges the graph still holds — the ``CG ⊆ G`` invariant),
+  so mutations keep flowing during the rebuild;
+* **one body per transition** — ``apply``, ``install_rebuild`` and
+  ``probe`` are also what recovery calls, passing each WAL record's
+  payload as ``logged``; before a log is attached nothing they do is
+  journaled, so a replay never re-writes the records it reads.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core.coregraph import CoreGraph
 from repro.core.evolving import EvolvingCoreGraph, _membership_mask
 from repro.evolve.epoch import Epoch, EpochStore, make_epoch
-from repro.evolve.snapshot import LoadedSnapshot, SnapshotStore
+from repro.evolve.snapshot import SnapshotStore
 from repro.evolve.wal import WalError, WalWriter
 from repro.graph.csr import Graph
-from repro.graph.mutate import remove_edges
+from repro.graph.transform import edge_subgraph
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
@@ -51,14 +56,11 @@ class EpochMaintainer:
         g: Graph,
         spec: QuerySpec,
         num_hubs: int = 20,
-        rebuild_below_precision: float = 95.0,
-        probe_sources: int = 3,
-        probe_seed: int = 7,
         *,
         wal: Optional[WalWriter] = None,
         snapshots: Optional[SnapshotStore] = None,
         snapshot_every: int = 8,
-        _resume: Optional[LoadedSnapshot] = None,
+        _resume: Optional[Epoch] = None,
     ) -> None:
         self.spec = spec
         self._lock = threading.Lock()
@@ -66,40 +68,19 @@ class EpochMaintainer:
         self.snapshots: Optional[SnapshotStore] = None
         self.snapshot_every = 0
         if _resume is not None:
-            # Recovery path: re-adopt a persisted (graph, proxy) pair and
-            # resume epoch numbering where the snapshot left it. The WAL
-            # is attached *after* the tail replay (see attach_wal), so
+            # Recovery path: continue from a persisted epoch. The WAL is
+            # attached *after* the tail replay (see attach_wal), so
             # replayed records are never re-journaled.
+            initial = _resume
             self._ev = EvolvingCoreGraph(
-                _resume.graph,
+                initial.graph,
                 spec,
                 num_hubs=num_hubs,
-                rebuild_below_precision=rebuild_below_precision,
-                probe_sources=probe_sources,
-                probe_seed=probe_seed,
-                cg=_resume.proxy,
-            )
-            self._ev._triangle_safe = _resume.triangle_safe
-            initial = Epoch(
-                number=_resume.epoch,
-                graph=_resume.graph,
-                proxy=_resume.proxy,
-                fingerprint=_resume.fingerprint,
-                triangle_safe=_resume.triangle_safe,
-                inserted_edges=_resume.inserted_edges,
-                deleted_edges=_resume.deleted_edges,
-                probe_precision=_resume.probe_precision,
-                rebuilt_from=_resume.rebuilt_from,
+                cg=initial.proxy,
+                triangle_safe=initial.triangle_safe,
             )
         else:
-            self._ev = EvolvingCoreGraph(
-                g,
-                spec,
-                num_hubs=num_hubs,
-                rebuild_below_precision=rebuild_below_precision,
-                probe_sources=probe_sources,
-                probe_seed=probe_seed,
-            )
+            self._ev = EvolvingCoreGraph(g, spec, num_hubs=num_hubs)
             initial = make_epoch(0, self._ev.graph, self._ev.cg)
         self._batches = 0
         self.store = EpochStore(initial)
@@ -148,6 +129,17 @@ class EpochMaintainer:
             info["snapshot_every"] = self.snapshot_every
         return info
 
+    @staticmethod
+    def _successor(base: Epoch, logged: Optional[Mapping[str, Any]]) -> int:
+        """Number of the epoch a transition on ``base`` publishes; a
+        replayed record must claim exactly that number."""
+        if logged is not None and logged["epoch"] != base.number + 1:
+            raise ValueError(
+                f"replay out of order: at epoch {base.number}, "
+                f"record says {logged['epoch']}"
+            )
+        return base.number + 1
+
     # ------------------------------------------------------------------
     # Mutation batches
     # ------------------------------------------------------------------
@@ -155,6 +147,8 @@ class EpochMaintainer:
         self,
         inserts: Iterable = (),
         deletes: Iterable[Tuple[int, int]] = (),
+        *,
+        logged: Optional[Mapping[str, Any]] = None,
     ) -> Epoch:
         """Apply one batch and publish the result as the next epoch.
 
@@ -168,6 +162,9 @@ class EpochMaintainer:
         replayable. A failure after the append but before the swap
         journals a best-effort ``abort`` record, so recovery rolls the
         batch back instead of resurrecting it.
+
+        Recovery replays a ``batch`` record through this same method,
+        passing the record's payload as ``logged``.
         """
         inserts = list(inserts)
         deletes = list(deletes)
@@ -178,9 +175,10 @@ class EpochMaintainer:
                 ev.stats.inserted_edges, ev.stats.deleted_edges,
             )
             base = self.store.current()
-            logged = False
+            number = self._successor(base, logged)
+            journaled = False
             try:
-                with span("evolve.apply", epoch=base.number + 1,
+                with span("evolve.apply", epoch=number,
                           inserts=len(inserts), deletes=len(deletes)):
                     if inserts:
                         ev.insert_edges(inserts)
@@ -194,7 +192,7 @@ class EpochMaintainer:
                         ev.stats.deleted_edges - saved[4]
                     )
                     epoch = make_epoch(
-                        base.number + 1,
+                        number,
                         ev.graph,
                         ev.cg,
                         triangle_safe=ev.triangle_safe,
@@ -210,13 +208,13 @@ class EpochMaintainer:
                             inserts=[list(e) for e in inserts],
                             deletes=[list(p) for p in deletes],
                         )
-                        logged = True
+                        journaled = True
                     self.store.swap(epoch)
             except BaseException:
                 (ev.graph, ev.cg, ev._triangle_safe,
                  ev.stats.inserted_edges, ev.stats.deleted_edges) = saved
-                if logged:
-                    self._abort_record(base.number + 1)
+                if journaled:
+                    self._abort_record(number)
                 raise
             self._batches += 1
         self._maybe_snapshot(epoch)
@@ -287,131 +285,29 @@ class EpochMaintainer:
                 pass
 
     # ------------------------------------------------------------------
-    # Recovery replay (no WAL writes: the records already exist)
-    # ------------------------------------------------------------------
-    def replay_batch(
-        self,
-        epoch_number: int,
-        inserts: Sequence[Sequence[float]],
-        deletes: Sequence[Sequence[int]],
-    ) -> Epoch:
-        """Re-apply one logged mutation batch during recovery."""
-        with self._lock:
-            ev = self._ev
-            base = self.store.current()
-            if epoch_number != base.number + 1:
-                raise ValueError(
-                    f"replay out of order: at epoch {base.number}, "
-                    f"record says {epoch_number}"
-                )
-            inserts = [tuple(e) for e in inserts]
-            deletes = [(int(u), int(v)) for u, v in deletes]
-            deleted_before = ev.stats.deleted_edges
-            if inserts:
-                ev.insert_edges(inserts)
-            if deletes:
-                ev.delete_edges(deletes)
-            epoch = make_epoch(
-                epoch_number,
-                ev.graph,
-                ev.cg,
-                triangle_safe=ev.triangle_safe,
-                inserted_edges=base.inserted_edges + len(inserts),
-                deleted_edges=(
-                    base.deleted_edges
-                    + ev.stats.deleted_edges - deleted_before
-                ),
-                probe_precision=base.probe_precision,
-                rebuilt_from=base.rebuilt_from,
-            )
-            self.store.swap(epoch)
-            self._batches += 1
-        return epoch
-
-    def replay_install(
-        self, epoch_number: int, triangle_safe: bool,
-        built_on: Optional[int] = None,
-    ) -> Epoch:
-        """Re-run a logged rebuild install during recovery.
-
-        The original proxy is gone (it lived in the crashed process), so
-        Algorithm 1/2 runs again on the replayed graph — same graph,
-        equivalent proxy. ``triangle_safe`` comes from the record: the
-        original install may have been rebased onto churn this rebuild
-        no longer sees.
-        """
-        from repro.core.dispatch import build_cg
-
-        with self._lock:
-            ev = self._ev
-            base = self.store.current()
-            if epoch_number != base.number + 1:
-                raise ValueError(
-                    f"replay out of order: at epoch {base.number}, "
-                    f"record says {epoch_number}"
-                )
-            ev.cg = build_cg(ev.graph, self.spec, num_hubs=ev.num_hubs)
-            ev._triangle_safe = bool(triangle_safe)
-            epoch = make_epoch(
-                epoch_number,
-                ev.graph,
-                ev.cg,
-                triangle_safe=bool(triangle_safe),
-                inserted_edges=base.inserted_edges,
-                deleted_edges=base.deleted_edges,
-                probe_precision=None,
-                rebuilt_from=built_on,
-            )
-            self.store.swap(epoch)
-            ev.stats.rebuilds += 1
-        return epoch
-
-    def replay_probe(
-        self, epoch_number: int, precision: Optional[float]
-    ) -> Epoch:
-        """Re-publish a logged probe-refresh epoch during recovery."""
-        with self._lock:
-            base = self.store.current()
-            if epoch_number != base.number + 1:
-                raise ValueError(
-                    f"replay out of order: at epoch {base.number}, "
-                    f"record says {epoch_number}"
-                )
-            epoch = make_epoch(
-                epoch_number,
-                base.graph,
-                base.proxy,
-                triangle_safe=base.triangle_safe,
-                inserted_edges=base.inserted_edges,
-                deleted_edges=base.deleted_edges,
-                probe_precision=precision,
-                rebuilt_from=base.rebuilt_from,
-            )
-            self.store.swap(epoch)
-        return epoch
-
-    # ------------------------------------------------------------------
     # Quality policy
     # ------------------------------------------------------------------
-    def probe(self) -> float:
+    def probe(
+        self, *, logged: Optional[Mapping[str, Any]] = None
+    ) -> float:
         """Sampled core-phase precision of the current epoch's proxy.
 
-        Publishes the reading onto subsequent epochs via the evolving
-        stats and exports the ``evolve.probe_precision`` gauge.
+        A changed reading is published as a new epoch (same graph and
+        proxy) and exported as the ``evolve.probe_precision`` gauge.
+        Recovery replays a ``probe`` record through this method with the
+        record's payload as ``logged``: the logged reading is
+        republished instead of sampling again.
         """
         with self._lock:
-            precision = self._ev.probe_precision()
             current = self.store.current()
-            if current.probe_precision != precision:
-                refreshed = make_epoch(
-                    current.number + 1,
-                    current.graph,
-                    current.proxy,
-                    triangle_safe=current.triangle_safe,
-                    inserted_edges=current.inserted_edges,
-                    deleted_edges=current.deleted_edges,
-                    probe_precision=precision,
-                    rebuilt_from=current.rebuilt_from,
+            number = self._successor(current, logged)
+            precision = (
+                self._ev.probe_precision() if logged is None
+                else logged["precision"]
+            )
+            if logged is not None or current.probe_precision != precision:
+                refreshed = replace(
+                    current, number=number, probe_precision=precision
                 )
                 if self.wal is not None:
                     # Probe refreshes consume an epoch number, so they
@@ -458,32 +354,41 @@ class EpochMaintainer:
                 progress=progress,
             )
 
-    def install_rebuild(self, snapshot: Epoch, proxy: CoreGraph) -> Epoch:
+    def install_rebuild(
+        self,
+        snapshot: Epoch,
+        proxy: CoreGraph,
+        *,
+        logged: Optional[Mapping[str, Any]] = None,
+    ) -> Epoch:
         """Publish a freshly built proxy, rebasing it onto current state.
 
-        If the graph churned while the build ran, CG edges deleted in the
-        meantime are dropped (restoring ``CG ⊆ G``) and Theorem-1 stays
-        disabled; with no churn the rebuild restores certificates too.
+        If the graph churned while the build ran, the proxy is cut down
+        to the edges the graph still holds (restoring ``CG ⊆ G``) and
+        Theorem-1 stays disabled; with no churn the rebuild restores
+        certificates too.
+
+        Recovery replays an ``install`` record through this method with
+        a proxy it rebuilt on the replayed graph (the original died with
+        the process) and the record's payload as ``logged``. Certificate
+        soundness and the build epoch then come from the record: the
+        original install may have been rebased over churn that this
+        rebuild never sees.
         """
         with self._lock:
             ev = self._ev
             base = self.store.current()
-            clean = ev.graph.fingerprint() == snapshot.fingerprint
-            if clean:
-                installed = proxy
+            number = self._successor(base, logged)
+            rebased = ev.graph.fingerprint() != snapshot.fingerprint
+            installed = self._rebase(ev.graph, proxy) if rebased else proxy
+            if logged is None:
+                clean, built_on = not rebased, snapshot.number
             else:
-                installed = self._rebase(ev.graph, proxy)
-            ev.cg = installed
-            ev._triangle_safe = clean
-            epoch = make_epoch(
-                base.number + 1,
-                ev.graph,
-                installed,
-                triangle_safe=clean,
-                inserted_edges=base.inserted_edges,
-                deleted_edges=base.deleted_edges,
-                probe_precision=None,
-                rebuilt_from=snapshot.number,
+                clean = bool(logged.get("triangle_safe", False))
+                built_on = logged.get("built_on")
+            epoch = replace(
+                base, number=number, proxy=installed, triangle_safe=clean,
+                probe_precision=None, rebuilt_from=built_on,
             )
             if self.wal is not None:
                 # The install marker tells recovery which replayed
@@ -492,11 +397,11 @@ class EpochMaintainer:
                 self.wal.append(
                     "install", epoch.number,
                     fingerprint=epoch.fingerprint,
-                    built_on=snapshot.number,
+                    built_on=built_on,
                     triangle_safe=clean,
                 )
             self.store.swap(epoch)
-            ev.stats.rebuilds += 1
+            ev.adopt(installed, triangle_safe=clean)
         # A rebuild install is the natural snapshot anchor: persisting
         # the fresh proxy means recovery replays mutations, not builds.
         self._snapshot_and_compact(epoch)
@@ -506,8 +411,8 @@ class EpochMaintainer:
                 "type": "event",
                 "name": "evolve.rebuild",
                 "epoch": epoch.number,
-                "built_on_epoch": snapshot.number,
-                "rebased": not clean,
+                "built_on_epoch": built_on,
+                "rebased": rebased,
                 "cg_edges": installed.num_edges,
                 "triangle_safe": clean,
             })
@@ -517,22 +422,16 @@ class EpochMaintainer:
     def _rebase(current: Graph, proxy: CoreGraph) -> CoreGraph:
         """Fit a proxy built on an older snapshot to ``current``.
 
-        Inserts since the snapshot only grow the graph (the CG stays a
-        subgraph); deletes may have removed CG edges, which must be
-        dropped. Hub values are stale either way, so they are discarded.
+        One weighted multiset join: the CG keeps exactly the
+        ``(u, v, w)`` edges of ``proxy`` that ``current`` still holds
+        (a pair deleted and re-inserted at another weight is gone), so
+        the result is a subgraph of ``current`` by construction. Hub
+        values are stale either way, so they are discarded.
         """
-        missing: List[Tuple[int, int]] = []
-        seen = set()
-        for u, v, _ in proxy.graph.iter_edges():
-            if (u, v) not in seen and not current.has_edge(u, v):
-                seen.add((u, v))
-                missing.append((u, v))
-        cg_graph = proxy.graph
-        if missing:
-            cg_graph, _ = remove_edges(cg_graph, missing)
+        mask = _membership_mask(current, proxy.graph)
         return CoreGraph(
-            graph=cg_graph,
-            edge_mask=_membership_mask(current, cg_graph),
+            graph=edge_subgraph(current, mask),
+            edge_mask=mask,
             spec_name=proxy.spec_name,
             hubs=proxy.hubs,
             hub_data=[],

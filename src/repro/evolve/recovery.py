@@ -14,8 +14,9 @@ turns the surviving records back into the exact pre-crash epoch:
    record claiming an epoch at or above it — committed epochs are
    strictly sequential);
 4. replay the remaining tail on a maintainer resumed at the snapshot's
-   epoch, checking each record's fingerprint stamp against the replayed
-   graph;
+   epoch — through the maintainer's own ``apply`` / ``install_rebuild``
+   / ``probe``, the methods that wrote the records — checking each
+   record's fingerprint stamp against the replayed graph;
 5. re-attach a :class:`~repro.evolve.wal.WalWriter` positioned after
    the valid tail, so serving (and journaling) resumes where it left off.
 
@@ -32,12 +33,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.core.dispatch import build_cg
 from repro.evolve.maintainer import EpochMaintainer
-from repro.evolve.snapshot import SnapshotStore
+from repro.evolve.snapshot import SnapshotStore, snapshot_file
 from repro.evolve.wal import (
     CorruptWalError,
     WalRecord,
     WalWriter,
+    list_segments,
     read_wal,
     segment_path,
     truncate_torn_tail,
@@ -173,9 +176,6 @@ def recover(
     verify: bool = False,
     to_epoch: Optional[int] = None,
     num_hubs: int = 20,
-    rebuild_below_precision: float = 95.0,
-    probe_sources: int = 3,
-    probe_seed: int = 7,
     fsync: str = "always",
     snapshot_every: int = 8,
     attach: bool = True,
@@ -201,13 +201,13 @@ def recover(
     if spec is None:
         from repro.queries.registry import get_spec
 
-        spec = get_spec(snap.spec_name)
+        spec = get_spec(snap.proxy.spec_name)
     records, torn = read_wal(wal_dir)
     report = RecoveryReport(
         wal_dir=str(wal_dir),
-        snapshot_path=str(snap.path),
-        snapshot_epoch=snap.epoch,
-        final_epoch=snap.epoch,
+        snapshot_path=str(snapshot_file(snapshots.directory, snap.number)),
+        snapshot_epoch=snap.number,
+        final_epoch=snap.number,
         fingerprint=snap.fingerprint,
     )
     if torn is not None:
@@ -218,62 +218,54 @@ def recover(
     kept, dropped = _cancel_rolled_back(records)
     report.skipped_rolled_back = dropped
     maintainer = EpochMaintainer(
-        snap.graph,
-        spec,
-        num_hubs=num_hubs,
-        rebuild_below_precision=rebuild_below_precision,
-        probe_sources=probe_sources,
-        probe_seed=probe_seed,
-        _resume=snap,
+        snap.graph, spec, num_hubs=num_hubs, _resume=snap
     )
     for rec in kept:
-        if rec.epoch <= snap.epoch:
+        if rec.epoch <= snap.number:
             continue
         if to_epoch is not None and rec.epoch > to_epoch:
             break
         try:
             if rec.kind == "batch":
-                epoch = maintainer.replay_batch(
-                    rec.epoch,
+                maintainer.apply(
                     rec.payload.get("inserts", ()),
                     rec.payload.get("deletes", ()),
+                    logged=rec.payload,
                 )
                 report.replayed_batches += 1
             elif rec.kind == "install":
-                epoch = maintainer.replay_install(
-                    rec.epoch,
-                    bool(rec.payload.get("triangle_safe", False)),
-                    built_on=rec.payload.get("built_on"),
+                # The original proxy died with the process: identify it
+                # again on the replayed graph — same graph, equivalent CG.
+                base = maintainer.store.current()
+                maintainer.install_rebuild(
+                    base,
+                    build_cg(base.graph, spec, num_hubs=num_hubs),
+                    logged=rec.payload,
                 )
                 report.replayed_installs += 1
             else:  # probe
-                epoch = maintainer.replay_probe(
-                    rec.epoch, rec.payload.get("precision")
-                )
+                maintainer.probe(logged=rec.payload)
                 report.replayed_probes += 1
-        except ValueError as exc:
+        except (ValueError, KeyError) as exc:
             raise CorruptWalError(
                 segment_path(wal_dir, rec.segment), rec.segment,
                 rec.offset, str(exc),
             ) from exc
-        _check_fingerprint(report, rec, epoch.fingerprint, verify)
+        _check_fingerprint(
+            report, rec, maintainer.store.current().fingerprint, verify
+        )
     final = maintainer.store.current()
     report.final_epoch = final.number
     report.fingerprint = final.fingerprint
     if verify:
         _verify_epoch(final)
         report.verified = True
-    writer: Optional[WalWriter] = None
     if attach:
-        writer = WalWriter(wal_dir, fsync=fsync)
-        report.segments = writer.segment_count()
         maintainer.attach_wal(
-            writer, snapshots=snapshots, snapshot_every=snapshot_every
+            WalWriter(wal_dir, fsync=fsync),
+            snapshots=snapshots, snapshot_every=snapshot_every,
         )
-    else:
-        from repro.evolve.wal import list_segments
-
-        report.segments = len(list_segments(wal_dir))
+    report.segments = len(list_segments(wal_dir))
     _record_recovery(report)
     return maintainer, report
 

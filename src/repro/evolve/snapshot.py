@@ -1,30 +1,35 @@
-"""Atomic full-graph snapshots anchoring WAL recovery and compaction.
+"""Atomic epoch snapshots anchoring WAL recovery and compaction.
 
-One snapshot is a single npz archive capturing an :class:`Epoch` whole:
-the full graph's CSR arrays, the core graph (mask, hubs, hub query
-values — the same payload :func:`repro.io.binary.save_core_graph`
-persists), and the epoch metadata (number, fingerprint, triangle
-safety, cumulative churn). Writes go through ``atomic_path`` so a crash
-mid-snapshot leaves the previous snapshot intact, never a torn file.
+One snapshot is one npz archive holding an :class:`Epoch`: the graph and
+the core graph packed by the :mod:`repro.io.binary` codec (under the
+``g_`` and ``cg_`` key prefixes) plus the epoch's scalar fields as a
+JSON entry. :meth:`SnapshotStore.save` takes an epoch and
+:meth:`SnapshotStore.load` returns an equal one. Writes go through
+``atomic_path`` so a crash mid-snapshot leaves the previous snapshot
+intact, never a torn file.
 
-Recovery loads the *latest valid* snapshot — a corrupt or
-fingerprint-mismatched file is skipped (older snapshots stay usable
-precisely because compaction never deletes the one a live segment still
-depends on) — and replays the WAL tail on top of it.
+Recovery loads the *latest valid* snapshot — a corrupt,
+older-format or fingerprint-mismatched file is skipped (older snapshots
+stay usable precisely because compaction never deletes the one a live
+segment still depends on) — and replays the WAL tail on top of it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.core.coregraph import CoreGraph, HubData
 from repro.evolve.epoch import Epoch
-from repro.graph.csr import Graph
+from repro.io.binary import (
+    core_graph_from,
+    core_graph_payload,
+    graph_from,
+    graph_payload,
+    open_npz,
+)
 from repro.io.errors import CorruptGraphError
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
@@ -34,30 +39,18 @@ from repro.resilience.faults import fault_point
 
 PathLike = Union[str, Path]
 
-_SNAPSHOT_FORMAT = 1
+# Format 1 kept the core-graph arrays under their own key names.
+_SNAPSHOT_FORMAT = 2
 SNAPSHOT_PREFIX = "snap-"
 SNAPSHOT_SUFFIX = ".npz"
+_META_FIELDS = (
+    "number", "fingerprint", "triangle_safe", "inserted_edges",
+    "deleted_edges", "probe_precision", "rebuilt_from",
+)
 
 
 class SnapshotError(OSError):
     """A snapshot could not be written or no usable one exists."""
-
-
-@dataclass(frozen=True)
-class LoadedSnapshot:
-    """One decoded snapshot: the epoch state a recovery starts from."""
-
-    path: Path
-    epoch: int
-    fingerprint: str
-    graph: Graph
-    proxy: CoreGraph
-    spec_name: str
-    triangle_safe: bool
-    inserted_edges: int
-    deleted_edges: int
-    probe_precision: Optional[float]
-    rebuilt_from: Optional[int]
 
 
 def snapshot_file(directory: PathLike, epoch: int) -> Path:
@@ -89,9 +82,6 @@ class SnapshotStore:
         ]
         return sorted(snaps, key=snapshot_epoch)
 
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
     def save(self, epoch: Epoch) -> Path:
         """Atomically persist ``epoch``; returns the snapshot path.
 
@@ -99,39 +89,13 @@ class SnapshotStore:
         written, so an injected crash models a kill mid-snapshot: the
         atomic protocol guarantees no partial file survives it.
         """
-        g = epoch.graph
-        cg = epoch.proxy
-        meta = {
-            "epoch": epoch.number,
-            "fingerprint": epoch.fingerprint,
-            "spec_name": cg.spec_name,
-            "triangle_safe": bool(epoch.triangle_safe),
-            "inserted_edges": int(epoch.inserted_edges),
-            "deleted_edges": int(epoch.deleted_edges),
-            "probe_precision": epoch.probe_precision,
-            "rebuilt_from": epoch.rebuilt_from,
-        }
-        payload: Dict[str, Any] = {
+        meta = {name: getattr(epoch, name) for name in _META_FIELDS}
+        payload = {
             "format": np.int64(_SNAPSHOT_FORMAT),
             "meta_json": np.array(json.dumps(meta)),
-            "g_offsets": g.offsets,
-            "g_dst": g.dst,
-            "cg_offsets": cg.graph.offsets,
-            "cg_dst": cg.graph.dst,
-            "cg_edge_mask": cg.edge_mask,
-            "cg_hubs": np.asarray(cg.hubs, dtype=np.int64),
-            "cg_connectivity_edges": np.int64(cg.connectivity_edges),
-            "cg_source_num_edges": np.int64(cg.source_num_edges),
-            "num_hub_data": np.int64(len(cg.hub_data)),
+            **graph_payload(epoch.graph, "g_"),
+            **core_graph_payload(epoch.proxy, "cg_"),
         }
-        if g.weights is not None:
-            payload["g_weights"] = g.weights
-        if cg.graph.weights is not None:
-            payload["cg_weights"] = cg.graph.weights
-        for i, hd in enumerate(cg.hub_data):
-            payload[f"hub_{i}_id"] = np.int64(hd.hub)
-            payload[f"hub_{i}_forward"] = hd.forward
-            payload[f"hub_{i}_backward"] = hd.backward
         final = snapshot_file(self.directory, epoch.number)
         fault_point("snapshot.write")
         with atomic_path(final, suffix=SNAPSHOT_SUFFIX) as tmp:
@@ -147,103 +111,31 @@ class SnapshotStore:
             })
         return final
 
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def load(self, path: PathLike) -> LoadedSnapshot:
+    def load(self, path: PathLike) -> Epoch:
         """Decode one snapshot; corrupt archives raise CorruptGraphError."""
         path = Path(path)
-        try:
-            data = np.load(path)
-        except FileNotFoundError:
-            raise
-        except Exception as exc:  # repro: noqa RC004 — decode boundary: np.load raises a zipfile/OSError/ValueError zoo; every one is re-raised as typed CorruptGraphError
-            raise CorruptGraphError(
-                f"not a readable snapshot archive: {exc}", path=path
-            ) from exc
-        with data:
-            required = (
-                "format", "meta_json", "g_offsets", "g_dst",
-                "cg_offsets", "cg_dst", "cg_edge_mask", "cg_hubs",
-                "cg_connectivity_edges", "cg_source_num_edges",
-                "num_hub_data",
-            )
-            missing = [k for k in required if k not in data.files]
-            if missing:
-                raise CorruptGraphError(
-                    f"snapshot archive is missing keys {missing}", path=path
-                )
-            fmt = int(data["format"])
-            if fmt != _SNAPSHOT_FORMAT:
-                raise CorruptGraphError(
-                    f"unsupported snapshot format {fmt}", path=path
-                )
+        with open_npz(
+            path, "snapshot", _SNAPSHOT_FORMAT, ("meta_json",)
+        ) as data:
             try:
                 meta = json.loads(str(data["meta_json"]))
-            except json.JSONDecodeError as exc:
+                fields = {name: meta[name] for name in _META_FIELDS}
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise CorruptGraphError(
-                    f"snapshot meta is not JSON: {exc}", path=path
+                    f"snapshot meta is unreadable: {exc!r}", path=path
                 ) from exc
-            try:
-                graph = Graph(
-                    data["g_offsets"], data["g_dst"],
-                    data["g_weights"] if "g_weights" in data.files else None,
-                )
-                cg_graph = Graph(
-                    data["cg_offsets"], data["cg_dst"],
-                    data["cg_weights"]
-                    if "cg_weights" in data.files else None,
-                )
-            except ValueError as exc:
-                raise CorruptGraphError(
-                    f"corrupt snapshot arrays: {exc}", path=path
-                ) from exc
-            hub_data = []
-            for i in range(int(data["num_hub_data"])):
-                keys = (f"hub_{i}_id", f"hub_{i}_forward", f"hub_{i}_backward")
-                if any(k not in data.files for k in keys):
-                    raise CorruptGraphError(
-                        f"snapshot archive is missing hub arrays {keys}",
-                        path=path,
-                    )
-                hub_data.append(HubData(
-                    hub=int(data[f"hub_{i}_id"]),
-                    forward=data[f"hub_{i}_forward"],
-                    backward=data[f"hub_{i}_backward"],
-                ))
-            proxy = CoreGraph(
-                graph=cg_graph,
-                edge_mask=data["cg_edge_mask"],
-                spec_name=str(meta["spec_name"]),
-                hubs=data["cg_hubs"],
-                hub_data=hub_data,
-                connectivity_edges=int(data["cg_connectivity_edges"]),
-                source_num_edges=int(data["cg_source_num_edges"]),
-            )
-        fingerprint = str(meta["fingerprint"])
-        if graph.fingerprint() != fingerprint:
+            graph = graph_from(data, path, "snapshot", "g_")
+            proxy = core_graph_from(data, path, "snapshot", "cg_")
+        if graph.fingerprint() != fields["fingerprint"]:
             raise CorruptGraphError(
-                f"snapshot fingerprint mismatch: meta says {fingerprint}, "
-                f"arrays hash to {graph.fingerprint()}", path=path
+                f"snapshot fingerprint mismatch: meta says "
+                f"{fields['fingerprint']}, arrays hash to "
+                f"{graph.fingerprint()}", path=path
             )
-        return LoadedSnapshot(
-            path=path,
-            epoch=int(meta["epoch"]),
-            fingerprint=fingerprint,
-            graph=graph,
-            proxy=proxy,
-            spec_name=str(meta["spec_name"]),
-            triangle_safe=bool(meta["triangle_safe"]),
-            inserted_edges=int(meta["inserted_edges"]),
-            deleted_edges=int(meta["deleted_edges"]),
-            probe_precision=meta.get("probe_precision"),
-            rebuilt_from=meta.get("rebuilt_from"),
-        )
+        return Epoch(graph=graph, proxy=proxy, **fields)
 
-    def latest(
-        self, before: Optional[int] = None
-    ) -> Optional[LoadedSnapshot]:
-        """The newest loadable snapshot (``epoch <= before`` if given).
+    def latest(self, before: Optional[int] = None) -> Optional[Epoch]:
+        """The newest loadable snapshot (``number <= before`` if given).
 
         Corrupt snapshots are skipped — recovery falls back to the next
         older one and replays a longer WAL tail instead of failing.

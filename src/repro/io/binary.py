@@ -11,13 +11,21 @@ leaves a truncated artifact; loads validate format version and required
 keys and raise :class:`~repro.io.errors.CorruptGraphError` (a
 ``ValueError``) naming the file instead of surfacing a numpy/zipfile
 traceback.
+
+The array layout lives here once: ``graph_payload``/``graph_from`` and
+``core_graph_payload``/``core_graph_from`` pack and unpack under a key
+prefix, and ``open_npz`` is the checked reader. Graph and core-graph
+files use the empty prefix; :mod:`repro.evolve.snapshot` stores both in
+one archive under ``g_`` and ``cg_``.
 """
 
 from __future__ import annotations
 
 import zipfile
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Union
+from typing import Any, Dict, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -42,19 +50,6 @@ def _npz_path(path: PathLike) -> Path:
     )
 
 
-def _open_npz(path: Path, kind: str):
-    """``np.load`` with decode failures mapped to :class:`CorruptGraphError`."""
-    fault_point("io.load")
-    try:
-        return np.load(path)
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, OSError, ValueError, EOFError) as exc:
-        raise CorruptGraphError(
-            f"not a readable {kind} npz archive: {exc}", path=path
-        ) from exc
-
-
 def _require_keys(data, keys, path: Path, kind: str) -> None:
     missing = [k for k in keys if k not in data.files]
     if missing:
@@ -63,38 +58,149 @@ def _require_keys(data, keys, path: Path, kind: str) -> None:
         )
 
 
-def save_graph(g: Graph, path: PathLike) -> Path:
-    """Write ``g`` to ``path`` (npz, atomic). Returns the path written."""
-    payload = {
-        "format": np.int64(_GRAPH_FORMAT),
-        "offsets": g.offsets,
-        "dst": g.dst,
-    }
+def _optional(data, key: str):
+    return data[key] if key in data.files else None
+
+
+@contextmanager
+def open_npz(
+    path: Path, kind: str, fmt: int, keys: Sequence[str] = ()
+) -> Iterator[Any]:
+    """Open a format-``fmt`` archive of this package for reading.
+
+    A file (or, inside the block, a member) that does not decode, a
+    missing ``format`` or ``keys`` entry, and another format version all
+    raise :class:`CorruptGraphError` naming ``path``; a missing file
+    stays ``FileNotFoundError``.
+    """
+    fault_point("io.load")
+    try:
+        data = np.load(path)
+    except FileNotFoundError:
+        raise
+    except (zipfile.BadZipFile, OSError, ValueError, EOFError) as exc:
+        raise CorruptGraphError(
+            f"not a readable {kind} npz archive: {exc}", path=path
+        ) from exc
+    with data:
+        try:
+            _require_keys(data, ("format", *keys), path, kind)
+            found = int(data["format"])
+            if found != fmt:
+                raise CorruptGraphError(
+                    f"unsupported {kind} format {found}", path=path
+                )
+            yield data
+        except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+            # Members inflate lazily, on first access in the caller's block.
+            raise CorruptGraphError(
+                f"{kind} archive member does not decode: {exc}", path=path
+            ) from exc
+
+
+def graph_payload(g: Graph, prefix: str = "") -> Dict[str, Any]:
+    """The npz entries of ``g``'s CSR arrays, keys starting ``prefix``."""
+    payload = {f"{prefix}offsets": g.offsets, f"{prefix}dst": g.dst}
     if g.weights is not None:
-        payload["weights"] = g.weights
+        payload[f"{prefix}weights"] = g.weights
+    return payload
+
+
+def graph_from(data, path: Path, kind: str, prefix: str = "") -> Graph:
+    """Inverse of :func:`graph_payload` over an open archive."""
+    _require_keys(data, (f"{prefix}offsets", f"{prefix}dst"), path, kind)
+    try:
+        return Graph(
+            data[f"{prefix}offsets"], data[f"{prefix}dst"],
+            _optional(data, f"{prefix}weights"),
+        )
+    except ValueError as exc:
+        raise CorruptGraphError(
+            f"corrupt {kind} arrays: {exc}", path=path
+        ) from exc
+
+
+def core_graph_payload(cg: CoreGraph, prefix: str = "") -> Dict[str, Any]:
+    """The npz entries of ``cg`` (graph, mask, hubs, hub query values and
+    the optional study bookkeeping), keys starting ``prefix``."""
+    payload = graph_payload(cg.graph, prefix)
+    payload.update({
+        f"{prefix}edge_mask": cg.edge_mask,
+        f"{prefix}hubs": cg.hubs,
+        f"{prefix}spec_name": np.array(cg.spec_name),
+        f"{prefix}connectivity_edges": np.int64(cg.connectivity_edges),
+        f"{prefix}source_num_edges": np.int64(cg.source_num_edges),
+        f"{prefix}num_hub_data": np.int64(len(cg.hub_data)),
+    })
+    if cg.growth is not None:
+        payload[f"{prefix}growth"] = cg.growth
+    if cg.forward_selection_counts is not None:
+        payload[f"{prefix}selection_counts"] = cg.forward_selection_counts
+    for i, hd in enumerate(cg.hub_data):
+        payload[f"{prefix}hub_{i}_id"] = np.int64(hd.hub)
+        payload[f"{prefix}hub_{i}_forward"] = hd.forward
+        payload[f"{prefix}hub_{i}_backward"] = hd.backward
+    return payload
+
+
+def core_graph_from(
+    data, path: Path, kind: str, prefix: str = ""
+) -> CoreGraph:
+    """Inverse of :func:`core_graph_payload` over an open archive."""
+    _require_keys(
+        data,
+        [prefix + k for k in (
+            "edge_mask", "hubs", "spec_name", "connectivity_edges",
+            "source_num_edges", "num_hub_data",
+        )],
+        path, kind,
+    )
+    graph = graph_from(data, path, kind, prefix)
+    hub_keys = [
+        (f"{prefix}hub_{i}_id", f"{prefix}hub_{i}_forward",
+         f"{prefix}hub_{i}_backward")
+        for i in range(int(data[f"{prefix}num_hub_data"]))
+    ]
+    _require_keys(
+        data, [k for keys in hub_keys for k in keys], path, kind
+    )
+    return CoreGraph(
+        graph=graph,
+        edge_mask=data[f"{prefix}edge_mask"],
+        spec_name=str(data[f"{prefix}spec_name"]),
+        hubs=data[f"{prefix}hubs"],
+        hub_data=[
+            HubData(hub=int(data[h]), forward=data[f], backward=data[b])
+            for h, f, b in hub_keys
+        ],
+        growth=_optional(data, f"{prefix}growth"),
+        forward_selection_counts=_optional(
+            data, f"{prefix}selection_counts"
+        ),
+        connectivity_edges=int(data[f"{prefix}connectivity_edges"]),
+        source_num_edges=int(data[f"{prefix}source_num_edges"]),
+    )
+
+
+def _write_npz(path: PathLike, payload: Dict[str, Any]) -> Path:
     final = _npz_path(path)
     with atomic_path(final, suffix=".npz") as tmp:
         np.savez_compressed(tmp, **payload)
     return final
 
 
+def save_graph(g: Graph, path: PathLike) -> Path:
+    """Write ``g`` to ``path`` (npz, atomic). Returns the path written."""
+    return _write_npz(
+        path, {"format": np.int64(_GRAPH_FORMAT), **graph_payload(g)}
+    )
+
+
 def load_graph(path: PathLike, validate: bool = True) -> Graph:
     """Read a graph written by :func:`save_graph`."""
     path = Path(path)
-    with _open_npz(path, "graph") as data:
-        _require_keys(data, ("format", "offsets", "dst"), path, "graph")
-        fmt = int(data["format"])
-        if fmt != _GRAPH_FORMAT:
-            raise CorruptGraphError(
-                f"unsupported graph format {fmt}", path=path
-            )
-        weights = data["weights"] if "weights" in data.files else None
-        try:
-            g = Graph(data["offsets"], data["dst"], weights)
-        except ValueError as exc:
-            raise CorruptGraphError(
-                f"corrupt graph arrays: {exc}", path=path
-            ) from exc
+    with open_npz(path, "graph", _GRAPH_FORMAT) as data:
+        g = graph_from(data, path, "graph")
     if validate:
         report = validate_graph(g)
         if not report.ok:
@@ -106,82 +212,13 @@ def load_graph(path: PathLike, validate: bool = True) -> Graph:
 
 def save_core_graph(cg: CoreGraph, path: PathLike) -> Path:
     """Write a :class:`CoreGraph` (graph + identification metadata, atomic)."""
-    payload = {
-        "format": np.int64(_CG_FORMAT),
-        "offsets": cg.graph.offsets,
-        "dst": cg.graph.dst,
-        "edge_mask": cg.edge_mask,
-        "hubs": cg.hubs,
-        "spec_name": np.array(cg.spec_name),
-        "connectivity_edges": np.int64(cg.connectivity_edges),
-        "source_num_edges": np.int64(cg.source_num_edges),
-        "num_hub_data": np.int64(len(cg.hub_data)),
-    }
-    if cg.graph.weights is not None:
-        payload["weights"] = cg.graph.weights
-    if cg.growth is not None:
-        payload["growth"] = cg.growth
-    if cg.forward_selection_counts is not None:
-        payload["selection_counts"] = cg.forward_selection_counts
-    for i, hd in enumerate(cg.hub_data):
-        payload[f"hub_{i}_id"] = np.int64(hd.hub)
-        payload[f"hub_{i}_forward"] = hd.forward
-        payload[f"hub_{i}_backward"] = hd.backward
-    final = _npz_path(path)
-    with atomic_path(final, suffix=".npz") as tmp:
-        np.savez_compressed(tmp, **payload)
-    return final
+    return _write_npz(
+        path, {"format": np.int64(_CG_FORMAT), **core_graph_payload(cg)}
+    )
 
 
 def load_core_graph(path: PathLike) -> CoreGraph:
     """Read a core graph written by :func:`save_core_graph`."""
     path = Path(path)
-    with _open_npz(path, "core-graph") as data:
-        _require_keys(
-            data,
-            ("format", "offsets", "dst", "edge_mask", "hubs", "spec_name",
-             "connectivity_edges", "source_num_edges", "num_hub_data"),
-            path, "core-graph",
-        )
-        fmt = int(data["format"])
-        if fmt != _CG_FORMAT:
-            raise CorruptGraphError(
-                f"unsupported core-graph format {fmt}", path=path
-            )
-        weights = data["weights"] if "weights" in data.files else None
-        try:
-            graph = Graph(data["offsets"], data["dst"], weights)
-        except ValueError as exc:
-            raise CorruptGraphError(
-                f"corrupt core-graph arrays: {exc}", path=path
-            ) from exc
-        num_hub_data = int(data["num_hub_data"])
-        hub_keys = [
-            key for i in range(num_hub_data)
-            for key in (f"hub_{i}_id", f"hub_{i}_forward", f"hub_{i}_backward")
-        ]
-        _require_keys(data, hub_keys, path, "core-graph")
-        hub_data = []
-        for i in range(num_hub_data):
-            hub_data.append(
-                HubData(
-                    hub=int(data[f"hub_{i}_id"]),
-                    forward=data[f"hub_{i}_forward"],
-                    backward=data[f"hub_{i}_backward"],
-                )
-            )
-        return CoreGraph(
-            graph=graph,
-            edge_mask=data["edge_mask"],
-            spec_name=str(data["spec_name"]),
-            hubs=data["hubs"],
-            hub_data=hub_data,
-            growth=data["growth"] if "growth" in data.files else None,
-            forward_selection_counts=(
-                data["selection_counts"]
-                if "selection_counts" in data.files
-                else None
-            ),
-            connectivity_edges=int(data["connectivity_edges"]),
-            source_num_edges=int(data["source_num_edges"]),
-        )
+    with open_npz(path, "core-graph", _CG_FORMAT) as data:
+        return core_graph_from(data, path, "core-graph")

@@ -113,3 +113,29 @@ class TestProbeAndRebuild:
 
         san_probes.check_epoch_integrity(epoch, "test")
         _assert_exact(epoch)
+
+    def test_rebase_drops_pairs_reinserted_at_another_weight(self, maintainer):
+        """CG pairs deleted and re-inserted heavier while a rebuild is in
+        flight: the rebased CG must not keep the stale light copies."""
+        from collections import Counter
+
+        from repro.checks.sanitize import probes as san_probes
+
+        snapshot = maintainer.rebuild_snapshot()
+        proxy = maintainer.build_proxy(snapshot)
+        cg_pairs = sorted({(u, v) for u, v, _ in proxy.graph.iter_edges()})
+        cg_pairs = cg_pairs[:40]
+        maintainer.apply((), cg_pairs)
+        maintainer.apply([(u, v, 1000.0) for u, v in cg_pairs], ())
+        epoch = maintainer.install_rebuild(snapshot, proxy)
+
+        assert not epoch.triangle_safe
+        san_probes.check_epoch_integrity(epoch, "test")
+        assert int(epoch.proxy.edge_mask.sum()) == epoch.proxy.graph.num_edges
+        in_graph = Counter(epoch.graph.iter_edges())
+        assert not Counter(epoch.proxy.graph.iter_edges()) - in_graph
+        for source in range(8):
+            res = two_phase(epoch.graph, epoch.proxy, SSSP, source)
+            assert np.array_equal(
+                res.values, evaluate_query(epoch.graph, SSSP, source)
+            )

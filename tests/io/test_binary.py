@@ -49,6 +49,16 @@ class TestCoreGraphRoundTrip:
             track_growth=True, track_selection=True,
         )
         path = save_core_graph(cg, tmp_path / "cg.npz")
+        # Golden key list of format 1: archives written before the
+        # codec was shared with snapshots must keep loading.
+        with np.load(path) as data:
+            assert sorted(data.files) == sorted(
+                ["format", "offsets", "dst", "weights", "edge_mask", "hubs",
+                 "spec_name", "connectivity_edges", "source_num_edges",
+                 "num_hub_data", "growth", "selection_counts"]
+                + [f"hub_{i}_{part}" for i in range(3)
+                   for part in ("id", "forward", "backward")]
+            )
         loaded = load_core_graph(path)
         assert loaded.graph == cg.graph
         assert np.array_equal(loaded.edge_mask, cg.edge_mask)
