@@ -2,9 +2,7 @@
 
 ``suppl_reduced`` quantifies the §4 Reduced-Graph criticism;
 ``suppl_convergence`` shows the iteration-level mechanics behind the
-speedups; ``suppl_engines`` characterizes the evaluation substrate;
-``suppl_pointtopoint`` measures the §4 point-to-all vs point-to-point
-trade.
+speedups; ``suppl_engines`` characterizes the evaluation substrate.
 """
 
 
@@ -31,17 +29,6 @@ def test_suppl_engines(record_experiment):
         assert async_iters[query] <= sync_iters[query]
 
 
-def test_suppl_pointtopoint(record_experiment):
-    result = record_experiment("suppl_pointtopoint")
-    assert len(result.rows) >= 2
-
-
-def test_suppl_distributed(record_experiment):
-    result = record_experiment("suppl_distributed")
-    reach_rows = [r for r in result.rows if r[1] == "REACH"]
-    assert all(r[4] > 0 for r in reach_rows)  # network traffic reduced
-
-
 def test_suppl_shape_agreement(record_experiment):
     result = record_experiment("suppl_shape_agreement")
     rho = {row[0]: row[2] for row in result.rows}
@@ -58,9 +45,3 @@ def test_suppl_shape_agreement(record_experiment):
 def test_suppl_evolving(record_experiment):
     result = record_experiment("suppl_evolving")
     assert result.rows[-1][3] >= result.rows[-2][3]  # rebuild restores
-
-
-def test_suppl_wonderland(record_experiment):
-    result = record_experiment("suppl_wonderland", floatfmt=".0f")
-    for row in result.rows:
-        assert row[4] <= row[2]  # CG bootstrap never adds passes

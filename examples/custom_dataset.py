@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """End-to-end on user data: edge list -> validate -> characterize ->
-compress -> core graphs -> cached query service.
+persist -> core graphs -> exact queries.
 
 This example writes itself a small SNAP-style edge list, then treats it as
 foreign data: structural validation, summary statistics (including the
-degree-Gini power-law check), compressed on-disk storage, a persisted
-CoreGraphIndex, and a memoized query store on top.
+degree-Gini power-law check), binary on-disk storage, persisted core
+graphs, and exact 2Phase answers from the reloaded artifacts.
 
 Run: ``python examples/custom_dataset.py``
 """
@@ -16,11 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.analysis import estimate_effective_diameter, graph_summary
-from repro.core import CoreGraphIndex, QueryResultStore
+from repro.core import build_cg, two_phase
+from repro.engines.frontier import evaluate_query
 from repro.generators.rmat import rmat
 from repro.graph import read_edge_list, validate_graph, write_edge_list
 from repro.graph.weights import ligra_weights
-from repro.io import load_compressed, save_compressed
+from repro.io import load_core_graph, load_graph, save_core_graph, save_graph
+from repro.queries.registry import get_spec
 
 
 def main() -> None:
@@ -44,28 +46,29 @@ def main() -> None:
         if summary.degree_gini > 0.4:
             print("   degree skew says: core graphs should work well here")
 
-        comp = save_compressed(g, tmp / "dataset.cg")
-        print(f"\n== compressed storage ==\n   raw {comp.raw_bytes:,} B -> "
-              f"{comp.compressed_bytes:,} B ({comp.ratio:.2f}x)")
-        assert sorted(load_compressed(tmp / "dataset.cg").iter_edges()) == \
+        graph_file = save_graph(g, tmp / "dataset.npz")
+        print(f"\n== binary storage ==\n   {edge_file.stat().st_size:,} B "
+              f"text -> {graph_file.stat().st_size:,} B npz")
+        assert sorted(load_graph(graph_file).iter_edges()) == \
             sorted(g.iter_edges())
 
-        print("\n== build + persist core graphs ==")
-        index = CoreGraphIndex(g, num_hubs=20).build_all()
-        index.save(tmp / "cgs")
-        for name, cg in sorted(index.built.items()):
-            print(f"   {name:8s} {100 * cg.edge_fraction:5.1f}% of edges")
-
-        print("\n== serve queries through the memoized store ==")
-        store = QueryResultStore(index, capacity=64)
+        print("\n== persist core graphs, answer exactly from the reloads ==")
         rng = np.random.default_rng(4)
         sources = rng.choice(
-            np.flatnonzero(g.out_degree() > 0), 6, replace=False
+            np.flatnonzero(g.out_degree() > 0), 3, replace=False
         )
-        for s in list(sources) + list(sources[:3]):  # repeats -> cache hits
-            store.query("SSSP", int(s))
-        print(f"   {store!r}")
-        assert store.stats.hits == 3
+        for name in ("SSSP", "SSWP", "REACH"):
+            spec = get_spec(name)
+            cg_file = save_core_graph(build_cg(g, spec, num_hubs=20),
+                                      tmp / f"{name}.npz")
+            cg = load_core_graph(cg_file)
+            for s in sources:
+                res = two_phase(g, cg, spec, int(s))
+                assert np.array_equal(
+                    res.values, evaluate_query(g, spec, int(s))
+                )
+            print(f"   {name:8s} {100 * cg.edge_fraction:5.1f}% of edges, "
+                  f"{sources.size} sources exact")
 
 
 if __name__ == "__main__":

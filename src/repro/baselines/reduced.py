@@ -34,13 +34,13 @@ from repro.queries.base import QuerySpec
 class ReducedGraph:
     """A vertex-eliminating reduction of a graph for one query kind.
 
-    ``vertex_map[v]`` is ``v``'s id in the reduced graph, or -1 if ``v``
+    ``reduced_id[v]`` is ``v``'s id in the reduced graph, or -1 if ``v``
     was eliminated (unqueryable). ``graph`` carries weights in the spec's
     *transformed* space (probabilities for Viterbi).
     """
 
     graph: Graph
-    vertex_map: np.ndarray
+    reduced_id: np.ndarray
     retained: np.ndarray  # original ids of the reduced graph's vertices
     spec_name: str
     source_num_edges: int
@@ -57,7 +57,7 @@ class ReducedGraph:
         return self.retained.size / max(1, self.source_num_vertices)
 
     def is_queryable(self, v: int) -> bool:
-        return self.vertex_map[v] >= 0
+        return self.reduced_id[v] >= 0
 
     def translate_values(self, reduced_vals: np.ndarray,
                          fill: float) -> np.ndarray:
@@ -137,14 +137,14 @@ def build_reduced_graph(
             break
 
     retained = np.flatnonzero(alive)
-    vertex_map = np.full(n, -1, dtype=np.int64)
-    vertex_map[retained] = np.arange(retained.size)
+    reduced_id = np.full(n, -1, dtype=np.int64)
+    reduced_id[retained] = np.arange(retained.size)
     reduced = from_arrays(
-        retained.size, vertex_map[src], vertex_map[dst], weights
+        retained.size, reduced_id[src], reduced_id[dst], weights
     )
     return ReducedGraph(
         graph=reduced,
-        vertex_map=vertex_map,
+        reduced_id=reduced_id,
         retained=retained,
         spec_name=spec.name,
         source_num_edges=g.num_edges,

@@ -8,17 +8,11 @@ from repro.core.twophase import two_phase, TwoPhaseResult
 from repro.core.triangle import certify_precise, supports_triangle
 from repro.core.precision import measure_precision, PrecisionReport
 from repro.core.dispatch import build_cg
-from repro.core.index import CoreGraphIndex
-from repro.core.advisor import CoreGraphAdvisor
 from repro.core.evolving import EvolvingCoreGraph
-from repro.core.resultstore import QueryResultStore
 from repro.core.batch2phase import two_phase_batch, BatchTwoPhaseResult
 
 __all__ = [
-    "CoreGraphIndex",
-    "CoreGraphAdvisor",
     "EvolvingCoreGraph",
-    "QueryResultStore",
     "two_phase_batch",
     "BatchTwoPhaseResult",
     "CoreGraph",

@@ -289,7 +289,7 @@ def _cmd_stats(args) -> int:
         print("verdict: power-law regime — core graphs should work well")
     else:
         print("verdict: low degree skew — see the paper's Limitations; "
-              "calibrate with CoreGraphAdvisor before relying on a CG")
+              "measure the CG's precision before relying on it")
     return 0
 
 

@@ -22,15 +22,11 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "ablation_connectivity": ablations.ablation_connectivity,
     "ablation_direction": ablations.ablation_direction,
     "ablation_identification": ablations.ablation_identification,
-    "ablation_pagerank": ablations.ablation_pagerank,
     "suppl_reduced": supplementary.suppl_reduced,
     "suppl_convergence": supplementary.suppl_convergence,
     "suppl_engines": supplementary.suppl_engines,
-    "suppl_pointtopoint": supplementary.suppl_pointtopoint,
-    "suppl_wonderland": supplementary.suppl_wonderland,
     "suppl_evolving": supplementary.suppl_evolving,
     "suppl_shape_agreement": supplementary.suppl_shape_agreement,
-    "suppl_distributed": supplementary.suppl_distributed,
     "fig02": systems.fig02,
     "fig03": proxy_quality.fig03,
     "fig05": systems.fig05,

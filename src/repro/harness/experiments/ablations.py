@@ -12,8 +12,6 @@ experiments vary them one at a time:
   Algorithm 1 lines 8-12 on vs off.
 * ``ablation_direction`` — forward+backward hub queries vs forward-only
   (the paper argues both directions preserve pairwise reachability).
-* ``ablation_pagerank`` — the §2.1 open problem: what CG bootstrapping
-  does (and does not do) for a non-monotonic algorithm.
 """
 
 from __future__ import annotations
@@ -23,10 +21,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core.identify import build_core_graph
-from repro.core.nonmonotonic import bootstrap_pagerank
 from repro.core.precision import measure_precision
 from repro.graph.degree import top_degree_vertices
-from repro.harness.cache import get_cg, get_graph, get_sources, get_truth
+from repro.harness.cache import get_graph, get_sources, get_truth
 from repro.harness.config import HarnessConfig, default_config
 from repro.harness.experiments.base import ExperimentResult
 from repro.queries.specs import SSSP, SSWP
@@ -205,32 +202,3 @@ def ablation_identification(
         ])
     return result
 
-
-def ablation_pagerank(
-    config: Optional[HarnessConfig] = None,
-) -> ExperimentResult:
-    """The open problem: CG warm-starting the non-monotonic PageRank."""
-    cfg = _config(config)
-    result = ExperimentResult(
-        exp_id="ablation_pagerank",
-        title="PageRank with CG warm start (non-monotonic boundary)",
-        paper_reference="§2.1 Limitations (open problem)",
-        headers=["G", "cold iters", "warm iters", "iters saved %",
-                 "phase-1 L1 error", "final L1 divergence"],
-        notes="No exactness guarantee exists for PageRank; the warm start "
-        "only trades phase-1 work for full-graph iterations. The phase-1 "
-        "error column shows the CG-only ranks are NOT the answer.",
-    )
-    for name in ("PK", "TT"):
-        g = get_graph(name)
-        cg = get_cg(name, SSSP)
-        study = bootstrap_pagerank(g, cg, tol=1e-10)
-        result.rows.append([
-            name,
-            study.cold.iterations,
-            study.warm.iterations,
-            study.iteration_reduction_pct,
-            study.phase1_error_l1,
-            study.final_divergence_l1,
-        ])
-    return result

@@ -6,8 +6,6 @@
   direct vs core+completion edge/frontier series.
 * ``suppl_engines`` — scheduling comparison: synchronous push vs chunked
   async vs direction-optimizing push/pull on the same queries.
-* ``suppl_pointtopoint`` — point-to-all (CG 2Phase) vs per-pair methods
-  (bidirectional Dijkstra, PnP pruning) on a batch of (s, t) pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import numpy as np
 
 from repro.analysis.traces import Trace, two_phase_trace
 from repro.baselines.reduced import build_reduced_graph
-from repro.core.pointtopoint import bidirectional_sssp, pnp_point_to_point
 from repro.core.twophase import two_phase
 from repro.engines.async_engine import async_evaluate
 from repro.engines.frontier import evaluate_query
@@ -131,51 +128,6 @@ def suppl_engines(config: Optional[HarnessConfig] = None) -> ExperimentResult:
             result.rows.append([
                 spec_name, label, stats.iterations,
                 stats.edges_processed, wall,
-            ])
-    return result
-
-
-def suppl_distributed(
-    config: Optional[HarnessConfig] = None,
-) -> ExperimentResult:
-    """Generality beyond the paper's three systems: a Pregel-style BSP.
-
-    The intro grounds the problem in distributed frameworks; here the same
-    CGs cut cross-worker message traffic and supersteps in a synchronous
-    vertex-centric model.
-    """
-    cfg = _config(config)
-    from repro.systems.pregel import PregelSimulator
-
-    result = ExperimentResult(
-        exp_id="suppl_distributed",
-        title="CG bootstrapping in a Pregel-style distributed model "
-        "(8 workers, hash placement)",
-        paper_reference="supplementary (the intro's distributed framing)",
-        headers=["G", "query", "net msgs (base)", "net msgs (2phase)",
-                 "reduction %", "supersteps (base)", "supersteps (2phase)",
-                 "speedup"],
-        notes="The 2phase column includes the n-message bootstrap "
-        "broadcast; REACH nearly eliminates completion traffic.",
-    )
-    for name in cfg.real_graphs:
-        g = get_graph(name)
-        sim = PregelSimulator(g, workers=8)
-        for spec_name in ("SSSP", "SSWP", "REACH"):
-            spec = get_spec(spec_name)
-            cg = get_cg(name, spec)
-            source = int(get_sources(name, 1)[0])
-            base = sim.baseline_run(spec, source)
-            two = sim.two_phase_run(cg, spec, source)
-            assert np.array_equal(base.values, two.values)
-            b = base.counters["network_messages"]
-            t = two.counters["network_messages"]
-            result.rows.append([
-                name, spec_name, int(b), int(t),
-                100.0 * (b - t) / b if b else 0.0,
-                int(base.counters["supersteps"]),
-                int(two.counters["supersteps"]),
-                two.speedup_over(base),
             ])
     return result
 
@@ -339,82 +291,3 @@ def suppl_evolving(
     snapshot("after rebuild")
     return result
 
-
-def suppl_wonderland(
-    config: Optional[HarnessConfig] = None,
-) -> ExperimentResult:
-    """Wonderland streaming passes: no bootstrap vs AG vs CG bootstraps."""
-    cfg = _config(config)
-    from repro.harness.experiments.proxy_quality import get_baseline_proxy
-    from repro.systems.wonderland import WonderlandSimulator
-
-    result = ExperimentResult(
-        exp_id="suppl_wonderland",
-        title="Wonderland full-graph passes by bootstrap quality",
-        paper_reference="§4 related work (Wonderland) / Table 15 flip side",
-        headers=["G", "query", "passes (none)", "passes (AG)", "passes (CG)",
-                 "io bytes (none)", "io bytes (CG)"],
-        notes="Every pass streams all edges (edge-centric, no selective "
-        "skipping), so pass count is the system's whole game; a better "
-        "bootstrap means fewer passes. CG must be at least as good as AG.",
-    )
-    for name in cfg.real_graphs:
-        g = get_graph(name)
-        sim = WonderlandSimulator(g, num_partitions=cfg.grid_dim)
-        for spec_name in ("SSSP", "SSWP"):
-            spec = get_spec(spec_name)
-            cg = get_cg(name, spec)
-            ag = get_baseline_proxy("AG", name, spec_name)
-            source = int(get_sources(name, 1)[0])
-            base = sim.baseline_run(spec, source)
-            with_ag = sim.two_phase_run(ag, spec, source)
-            with_cg = sim.two_phase_run(cg, spec, source)
-            assert np.array_equal(base.values, with_cg.values)
-            result.rows.append([
-                name, spec_name,
-                int(base.counters["passes"]),
-                int(with_ag.counters["passes"]),
-                int(with_cg.counters["passes"]),
-                int(base.counters["io_bytes"]),
-                int(with_cg.counters["io_bytes"]),
-            ])
-    return result
-
-
-def suppl_pointtopoint(
-    config: Optional[HarnessConfig] = None,
-) -> ExperimentResult:
-    """Point-to-all CG evaluation vs per-pair methods on (s, t) batches."""
-    cfg = _config(config)
-    graph_name = "TTW"
-    g = get_graph(graph_name)
-    cg = get_cg(graph_name, SSSP)
-    rng = np.random.default_rng(cfg.source_seed + 9)
-    sources = get_sources(graph_name, max(2, cfg.num_queries))
-    targets = rng.choice(g.num_vertices, sources.size, replace=False)
-    result = ExperimentResult(
-        exp_id="suppl_pointtopoint",
-        title=f"Point-to-all vs point-to-point on {graph_name}",
-        paper_reference="§4 related work (Qbs / PnP contrast)",
-        headers=["s", "t", "distance", "2phase ms (all targets)",
-                 "bidirectional ms", "PnP ms", "PnP pruned edges"],
-        notes="Per-pair methods redo their work per query; one CG 2Phase "
-        "answers s -> every vertex.",
-    )
-    for s, t in zip(sources, targets):
-        s, t = int(s), int(t)
-        t0 = time.perf_counter()
-        res = two_phase(g, cg, SSSP, s)
-        ms_cg = (time.perf_counter() - t0) * 1e3
-        t0 = time.perf_counter()
-        d_bi = bidirectional_sssp(g, s, t)
-        ms_bi = (time.perf_counter() - t0) * 1e3
-        t0 = time.perf_counter()
-        d_pnp, pruned = pnp_point_to_point(g, SSSP, s, t)
-        ms_pnp = (time.perf_counter() - t0) * 1e3
-        truth = res.values[t]
-        assert d_bi == truth or (np.isinf(d_bi) and np.isinf(truth))
-        assert d_pnp == truth or (np.isinf(d_pnp) and np.isinf(truth))
-        dist = "inf" if np.isinf(truth) else float(truth)
-        result.rows.append([s, t, dist, ms_cg, ms_bi, ms_pnp, pruned])
-    return result

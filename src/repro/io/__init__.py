@@ -2,13 +2,6 @@
 
 from repro.io.binary import save_graph, load_graph, save_core_graph, load_core_graph
 from repro.io.artifacts import ArtifactCache
-from repro.io.compressed import (
-    save_compressed,
-    load_compressed,
-    compress_graph,
-    decompress_graph,
-    CompressionReport,
-)
 from repro.io.errors import CorruptGraphError
 
 __all__ = [
@@ -18,9 +11,4 @@ __all__ = [
     "save_core_graph",
     "load_core_graph",
     "ArtifactCache",
-    "save_compressed",
-    "load_compressed",
-    "compress_graph",
-    "decompress_graph",
-    "CompressionReport",
 ]

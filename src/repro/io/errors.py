@@ -1,8 +1,7 @@
 """Typed IO failures for persisted graph artifacts.
 
-Loaders validate magic bytes, format versions, header fields, and payload
-lengths up front and raise :class:`CorruptGraphError` — carrying the file
-path and, when known, the byte offset of the damage — instead of letting a
+Loaders validate format versions and required keys up front and raise
+:class:`CorruptGraphError` — carrying the file path — instead of letting a
 numpy/zipfile traceback surface from deep inside a decoder. It subclasses
 ``ValueError`` so pre-existing ``except ValueError`` call sites and tests
 keep working.
@@ -22,21 +21,15 @@ class CorruptGraphError(ValueError):
     path:
         The file being read, when the decode ran against a file (None for
         in-memory blobs).
-    offset:
-        Byte offset of the damage when the decoder can localize it.
     """
 
     def __init__(
         self,
         message: str,
         path: Optional[Union[str, Path]] = None,
-        offset: Optional[int] = None,
     ) -> None:
         detail = message
         if path is not None:
             detail += f" [file: {path}]"
-        if offset is not None:
-            detail += f" [offset: {offset}]"
         super().__init__(detail)
         self.path = None if path is None else str(path)
-        self.offset = offset

@@ -14,16 +14,12 @@ from repro.systems.report import CostParams, SystemReport
 from repro.systems.subway import SubwaySimulator
 from repro.systems.gridgraph import GridGraphSimulator, GridStore
 from repro.systems.ligra import LigraSimulator
-from repro.systems.wonderland import WonderlandSimulator
-from repro.systems.pregel import PregelSimulator
 
 __all__ = [
-    "PregelSimulator",
     "CostParams",
     "SystemReport",
     "SubwaySimulator",
     "GridGraphSimulator",
     "GridStore",
     "LigraSimulator",
-    "WonderlandSimulator",
 ]

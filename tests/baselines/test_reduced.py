@@ -59,7 +59,7 @@ class TestQueryPreservation:
         source = int(rg.retained[0])
         truth = evaluate_query(medium_graph, spec, source)
         reduced_vals = evaluate_query(
-            rg.graph, spec, int(rg.vertex_map[source])
+            rg.graph, spec, int(rg.reduced_id[source])
         )
         expanded = rg.translate_values(reduced_vals, fill=np.nan)
         keep = rg.retained

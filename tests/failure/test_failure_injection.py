@@ -155,15 +155,6 @@ class TestSimulatorEdgeCases:
             rep.values, evaluate_query(medium_graph, SSSP, 0)
         )
 
-    def test_wonderland_single_partition(self, medium_graph):
-        from repro.systems.wonderland import WonderlandSimulator
-
-        sim = WonderlandSimulator(medium_graph, num_partitions=1)
-        rep = sim.baseline_run(SSSP, 0)
-        assert np.array_equal(
-            rep.values, evaluate_query(medium_graph, SSSP, 0)
-        )
-
     def test_query_from_unreachable_island(self):
         # source in a 2-vertex island; most of the graph unreachable
         g = from_edges(

@@ -11,7 +11,6 @@ from repro.harness.experiments.ablations import (
     ablation_direction,
     ablation_hub_selection,
     ablation_hubs,
-    ablation_pagerank,
 )
 
 
@@ -79,11 +78,3 @@ def test_identification_comparison(cfg):
         assert 0 < row[1] <= 100
         assert row[2] > 0
         assert row[3] > 80.0
-
-
-def test_pagerank_open_problem(cfg):
-    r = ablation_pagerank(cfg)
-    for row in r.rows:
-        cold, warm = row[1], row[2]
-        assert warm <= cold
-        assert row[4] > row[5]  # phase-1 error >> final divergence

@@ -5,6 +5,9 @@ hubs and queries; the assertions target the paper's qualitative shapes, not
 absolute numbers.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,12 +64,23 @@ def test_registry_complete():
         "table08", "table09", "table10", "table11", "table12", "table13a",
         "table13b", "table13c", "table14", "table15", "table16", "table17",
         "ablation_hubs", "ablation_hub_selection", "ablation_connectivity",
-        "ablation_direction", "ablation_identification", "ablation_pagerank",
+        "ablation_direction", "ablation_identification",
         "suppl_reduced", "suppl_convergence", "suppl_engines",
-        "suppl_pointtopoint", "suppl_wonderland", "suppl_evolving",
-        "suppl_shape_agreement", "suppl_distributed",
+        "suppl_evolving", "suppl_shape_agreement",
     }
     assert set(EXPERIMENTS) == expected
+
+
+def test_bench_scripts_record_exactly_the_registry():
+    """Every id a ``benchmarks/bench_*.py`` script records is registered,
+    and every registered experiment has a bench script that records it."""
+    root = Path(__file__).resolve().parents[2] / "benchmarks"
+    recorded = set()
+    for script in root.glob("bench_*.py"):
+        recorded.update(
+            re.findall(r'record_experiment\(\s*"([^"]+)"', script.read_text())
+        )
+    assert recorded == set(EXPERIMENTS)
 
 
 def test_unknown_experiment():

@@ -9,7 +9,6 @@ from repro.harness.config import HarnessConfig
 from repro.harness.experiments.supplementary import (
     suppl_convergence,
     suppl_engines,
-    suppl_pointtopoint,
     suppl_reduced,
 )
 
@@ -62,14 +61,6 @@ def test_engines_table(cfg):
     assert set(by_engine) == {"sync push", "async", "direction-opt"}
 
 
-def test_pointtopoint_table(cfg):
-    r = suppl_pointtopoint(cfg)
-    assert len(r.rows) >= 2
-    for row in r.rows:
-        assert row[3] > 0 and row[4] > 0 and row[5] > 0
-        assert row[6] >= 0
-
-
 def test_evolving_table(cfg):
     from repro.harness.experiments.supplementary import suppl_evolving
 
@@ -82,15 +73,6 @@ def test_evolving_table(cfg):
     assert rebuilt >= churned
 
 
-def test_distributed_table(cfg):
-    from repro.harness.experiments.supplementary import suppl_distributed
-
-    r = suppl_distributed(cfg)
-    for row in r.rows:
-        assert row[3] <= row[2]  # 2phase never moves more over the network
-        assert row[6] <= row[5]  # nor more supersteps
-
-
 def test_shape_agreement(cfg):
     from repro.harness.experiments.supplementary import suppl_shape_agreement
 
@@ -99,13 +81,3 @@ def test_shape_agreement(cfg):
     for row in r.rows:
         assert -1.0 <= row[2] <= 1.0
     assert "Table 5 precision" in r.notes
-
-
-def test_wonderland_table(cfg):
-    from repro.harness.experiments.supplementary import suppl_wonderland
-
-    r = suppl_wonderland(cfg)
-    for row in r.rows:
-        none_passes, ag_passes, cg_passes = row[2], row[3], row[4]
-        assert cg_passes <= none_passes
-        assert cg_passes <= ag_passes + 1

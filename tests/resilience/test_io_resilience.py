@@ -8,7 +8,6 @@ import pytest
 from repro.generators.random_graphs import random_weighted_graph
 from repro.io.artifacts import ArtifactCache
 from repro.io.binary import load_graph, save_graph
-from repro.io.compressed import decompress_graph, load_compressed, save_compressed
 from repro.io.errors import CorruptGraphError
 from repro.obs.journal import Journal, read_events
 from repro.resilience.faults import InjectedCrash, clear, injected, install
@@ -27,28 +26,6 @@ def small_graph():
 
 
 class TestCorruptionErrors:
-    def test_truncated_compressed_blob_carries_offset(
-        self, tmp_path, small_graph
-    ):
-        path = tmp_path / "g.rprc"
-        save_compressed(small_graph, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(CorruptGraphError) as exc_info:
-            load_compressed(path)
-        assert exc_info.value.path == str(path)
-        assert exc_info.value.offset is not None
-
-    def test_bad_magic_offset_zero(self):
-        with pytest.raises(CorruptGraphError) as exc_info:
-            decompress_graph(b"XXXX" + b"\x00" * 28)
-        assert exc_info.value.offset == 0
-        assert exc_info.value.path is None  # in-memory blob: no file
-
-    def test_truncated_header(self):
-        with pytest.raises(CorruptGraphError, match="truncated header"):
-            decompress_graph(b"RP")
-
     def test_garbage_npz_names_the_file(self, tmp_path):
         path = tmp_path / "g.npz"
         path.write_bytes(b"definitely not a zip archive")

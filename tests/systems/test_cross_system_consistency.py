@@ -1,7 +1,7 @@
 """Cross-system consistency matrix: every simulator, every query kind,
 every proxy — identical converged values.
 
-The four system models (Subway sync/async, GridGraph, Ligra, Wonderland)
+The four system models (Subway sync/async, GridGraph, Ligra)
 are cost models over the *same* algorithm; if any of them ever disagreed on
 values, its speedup numbers would be meaningless. This module pins that
 invariant across the full matrix.
@@ -19,7 +19,6 @@ from repro.queries.registry import ALL_SPECS, get_spec
 from repro.systems.gridgraph import GridGraphSimulator
 from repro.systems.ligra import LigraSimulator
 from repro.systems.subway import SubwaySimulator
-from repro.systems.wonderland import WonderlandSimulator
 
 QUERIES = ("SSSP", "SSNP", "Viterbi", "SSWP", "REACH", "WCC")
 
@@ -32,7 +31,6 @@ def world():
         "subway-async": SubwaySimulator(g, mode="async"),
         "gridgraph": GridGraphSimulator(g, p=3),
         "ligra": LigraSimulator(g),
-        "wonderland": WonderlandSimulator(g, num_partitions=3),
     }
     cgs = {spec.name: build_cg(g, spec, num_hubs=5) for spec in ALL_SPECS}
     ag, _ = build_abstraction_graph(g, g.num_edges // 5)
@@ -40,7 +38,7 @@ def world():
 
 
 @pytest.mark.parametrize("sim_name", (
-    "subway", "subway-async", "gridgraph", "ligra", "wonderland"
+    "subway", "subway-async", "gridgraph", "ligra"
 ))
 @pytest.mark.parametrize("spec_name", QUERIES)
 def test_baseline_values_match_engine(world, sim_name, spec_name):
@@ -52,7 +50,7 @@ def test_baseline_values_match_engine(world, sim_name, spec_name):
 
 
 @pytest.mark.parametrize("sim_name", (
-    "subway", "subway-async", "gridgraph", "ligra", "wonderland"
+    "subway", "subway-async", "gridgraph", "ligra"
 ))
 @pytest.mark.parametrize("spec_name", QUERIES)
 def test_two_phase_values_match_engine(world, sim_name, spec_name):
@@ -64,7 +62,7 @@ def test_two_phase_values_match_engine(world, sim_name, spec_name):
 
 
 @pytest.mark.parametrize("sim_name", (
-    "subway", "gridgraph", "ligra", "wonderland"
+    "subway", "gridgraph", "ligra"
 ))
 def test_two_phase_with_ag_proxy(world, sim_name):
     """Even a low-precision proxy must never change converged values."""
