@@ -13,6 +13,7 @@ Probe catalog (see :mod:`repro.checks.sanitize.probes`):
 ``check_frontier``        frontier in range, duplicate-free
 ``check_symmetrized``     symmetric view doubles edges over the same V
 ``monotone_watchdog``     accepted updates move in the selection direction
+``check_reduce_settled``  no reduced candidate still beats its destination
 ``check_cg_containment``  CG edges are a verbatim subset of G's (Alg. 1)
 ``audit_certified_fixed_point``  Theorem 1 certificates hold at sampled v
 ``check_async_no_lost_updates``  async round dominates a sync replay

@@ -126,6 +126,33 @@ def monotone_watchdog(
         )
 
 
+def check_reduce_settled(
+    spec: QuerySpec, cand: np.ndarray, after: np.ndarray, site: str
+) -> None:
+    """After a CASMIN/CASMAX reduce no candidate may beat its destination.
+
+    ``after`` is the destination values read back after the reduce,
+    parallel to ``cand``. A lattice reduce keeps the best candidate per
+    destination, so this holds exactly; a violation means a better
+    candidate was overwritten (e.g. last-write-wins on duplicate
+    destinations), which the monotone watchdog cannot see when every
+    candidate improved on the old value.
+    """
+    if spec.selection is Selection.MIN:
+        wrong = cand < after
+    else:
+        wrong = cand > after
+    if bool(np.any(wrong)):
+        i = int(np.flatnonzero(wrong)[0])
+        report(
+            "reduce_settled", site,
+            f"{int(np.count_nonzero(wrong))} candidate(s) still beat their "
+            f"destination after the {spec.selection.name} reduce "
+            f"(e.g. {float(cand[i])!r} vs {float(after[i])!r})",
+            count=int(np.count_nonzero(wrong)),
+        )
+
+
 def check_cg_containment(g: Graph, cg, site: str) -> None:
     """Every core-graph edge must exist in the source graph (Algorithm 1).
 

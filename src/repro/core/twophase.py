@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -103,14 +103,31 @@ def _proxy_graph(proxy: Union[CoreGraph, Graph]) -> Graph:
     return proxy.graph if isinstance(proxy, CoreGraph) else proxy
 
 
-def _certified_mask(
+def phase2_frontier(spec: QuerySpec, vals: np.ndarray) -> np.ndarray:
+    """Completion-phase initial frontier: all impacted vertices.
+
+    Initialization impacts every vertex of a multi-source query (each
+    starts with its own label), so WCC starts from all of them.
+    """
+    if spec.multi_source:
+        return np.arange(vals.shape[0], dtype=np.int64)
+    return np.flatnonzero(spec.reached(vals))
+
+
+def completion_blocked(
     proxy: Union[CoreGraph, Graph],
     spec: QuerySpec,
     source: Optional[int],
     vals: np.ndarray,
     triangle: bool,
-) -> Optional[np.ndarray]:
-    """Provably precise vertices: lattice saturation + Theorem 1 (opt-in)."""
+) -> Tuple[Optional[np.ndarray], int]:
+    """The ``Reduced(E)`` blocked-destination mask and its size.
+
+    Two sources of provably precise vertices (whose in-edges Algorithm 3
+    removes): lattice saturation (REACH's val == 1 -- always applied, it
+    needs no hub data) and, with ``triangle=True``, the Theorem 1
+    hub-distance certificates of §2.2.
+    """
     blocked = spec.saturated(vals)
     if triangle:
         if not isinstance(proxy, CoreGraph):
@@ -122,7 +139,9 @@ def _certified_mask(
             )
         tri = certify_precise(proxy, spec, int(source), vals)
         blocked = tri if blocked is None else (blocked | tri)
-    return blocked
+    if blocked is None:
+        return None, 0
+    return blocked, int(blocked.sum())
 
 
 def two_phase(
@@ -245,14 +264,15 @@ def two_phase(
             # Degrade from the Core Phase: saturation (and, when the hub
             # data supports it, Theorem 1) still certifies mid-run values
             # because every CG value is achieved by a real path in G.
-            blocked = None
+            blocked, certified = None, 0
             if spec.saturation_value is not None or (
                 triangle and isinstance(proxy, CoreGraph)
                 and supports_triangle(spec) and not spec.multi_source
             ):
-                blocked = _certified_mask(proxy, spec, source, vals, triangle)
+                blocked, certified = completion_blocked(
+                    proxy, spec, source, vals, triangle
+                )
             cert = precision_certificate(spec, vals, certified=blocked)
-            certified = 0 if blocked is None else int(blocked.sum())
             result = TwoPhaseResult(
                 values=vals, phase1=phase1_stats, phase2=phase2_stats,
                 impacted=0, certified_precise=certified,
@@ -270,20 +290,16 @@ def two_phase(
             else None
         )
 
-        if spec.multi_source:
-            # Initialization impacts every vertex (each starts with its own
-            # label), so the completion phase must start from all of them.
-            impacted = np.arange(n, dtype=np.int64)
-        else:
-            impacted = np.flatnonzero(spec.reached(vals))
+        impacted = phase2_frontier(spec, vals)
         impacted_size = int(impacted.size)
 
         # Reduced(E): remove the incoming edges of provably precise
         # vertices. Lattice saturation (REACH's val == 1) is always
         # available; Theorem 1's hub-distance certificates are the optional
         # triangle optimization.
-        blocked = _certified_mask(proxy, spec, source, vals, triangle)
-        certified = 0 if blocked is None else int(blocked.sum())
+        blocked, certified = completion_blocked(
+            proxy, spec, source, vals, triangle
+        )
 
         if not completion:
             # Shed the Completion Phase: the converged Core-Phase values

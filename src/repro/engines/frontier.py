@@ -11,6 +11,12 @@ CASMIN/CASMAX (``np.minimum.at`` / ``np.maximum.at``). Vertices whose value
 improved form the next frontier; the optional ``first_visit`` rule
 additionally activates a vertex the first time *any* edge reaches it, which
 is the paper's ``FirstPhase2Visit`` guarantee for the completion phase.
+
+A ``first_visit`` round whose frontier is dense (Ligra's test, see
+:data:`DENSE_DIVISOR`) -- always the Completion Phase's seed round, which
+starts from every impacted vertex -- runs as one masked sweep over the CSR
+edge arrays instead of a ragged gather; its values and counters are those
+of the sparse round. Every other round is sparse.
 """
 
 from __future__ import annotations
@@ -35,6 +41,11 @@ from repro.queries.base import QuerySpec
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import Checkpointer
 from repro.resilience.faults import fault_point
+
+#: Ligra's density threshold: a round whose frontier out-degree sum exceeds
+#: |E| / DENSE_DIVISOR is dense (pushed as one sweep here, pulled in
+#: :mod:`repro.engines.pull`).
+DENSE_DIVISOR = 20
 
 _SYMMETRIC_CACHE: "WeakKeyDictionary[Graph, Graph]" = WeakKeyDictionary()
 # Single-flight guard: concurrent serve workers asking for the same
@@ -116,6 +127,114 @@ def _emit_iteration(info: IterationInfo) -> None:
     )
 
 
+def _is_dense(g: Graph, frontier: np.ndarray) -> bool:
+    """Ligra's density test: frontier out-degree sum above |E| / divisor."""
+    offsets = g.offsets
+    out_sum = int((offsets[frontier + 1] - offsets[frontier]).sum())
+    return out_sum > g.num_edges // DENSE_DIVISOR
+
+
+def _sparse_round(
+    g: Graph,
+    spec: QuerySpec,
+    vals: np.ndarray,
+    frontier: np.ndarray,
+    weights: np.ndarray,
+    first_visit: bool,
+    visited: Optional[np.ndarray],
+    blocked_dst: Optional[np.ndarray],
+) -> Tuple[np.ndarray, int, int, int, int]:
+    """One push round over the gathered out-edges of ``frontier``.
+
+    Returns ``(new_frontier, edges_scanned, updates, edges_skipped,
+    redundant)``.
+    """
+    edge_idx, u = ragged_gather(g.offsets, frontier)
+    v = g.dst[edge_idx]
+    skipped = 0
+    if blocked_dst is not None and edge_idx.size:
+        keep = ~blocked_dst[v]
+        skipped = int(edge_idx.size - np.count_nonzero(keep))
+        edge_idx, u, v = edge_idx[keep], u[keep], v[keep]
+    old_v = vals[v]
+    cand = spec.propagate(vals[u], weights[edge_idx])
+    improving = spec.better(cand, old_v)
+    updates = int(np.count_nonzero(improving))
+    # All but one improving candidate per destination lose the reduce
+    # race; counting the losers needs a unique() so it only runs traced.
+    redundant = 0
+    if obs_runtime._enabled and updates:
+        redundant = updates - int(np.unique(v[improving]).size)
+    spec.reduce_at(vals, v, cand)
+    if san_runtime._enabled:
+        san_probes.monotone_watchdog(
+            spec, old_v, vals[v], "engine.frontier"
+        )
+    changed = spec.better(vals[v], old_v)
+    if first_visit:
+        fresh = ~visited[v]
+        visited[v[fresh]] = True
+        activate = changed | fresh
+    else:
+        activate = changed
+    new_frontier = np.unique(v[activate])
+    return new_frontier, int(edge_idx.size), updates, skipped, redundant
+
+
+def _dense_round(
+    g: Graph,
+    spec: QuerySpec,
+    vals: np.ndarray,
+    frontier: np.ndarray,
+    weights: np.ndarray,
+    visited: np.ndarray,
+    blocked_dst: Optional[np.ndarray],
+) -> Tuple[np.ndarray, int, int, int, int]:
+    """A ``first_visit`` round as one sweep over the whole CSR edge arrays.
+
+    Ligra's dense ``edgeMap``: per-edge masks replace the ragged gather.
+    Only edges that can change the round's outcome -- an improving
+    candidate or a first visit -- reach the reduce; every other edge
+    leaves both ``vals`` and the next frontier as the sparse round would,
+    so values and counters match :func:`_sparse_round` exactly.
+    """
+    n = g.num_vertices
+    dst = g.dst
+    out_deg = np.diff(g.offsets)
+    active = np.zeros(n, dtype=bool)
+    active[frontier] = True
+    act_e = np.repeat(active, out_deg)
+    gathered = int(out_deg[frontier].sum())
+    if blocked_dst is not None:
+        act_e &= ~blocked_dst[dst]
+    scanned = int(np.count_nonzero(act_e))
+    if not scanned:
+        # Every gathered edge is blocked (REACH's saturated seed round).
+        return np.empty(0, dtype=np.int64), 0, 0, gathered, 0
+    cand = spec.propagate(np.repeat(vals, out_deg), weights)
+    old_e = vals[dst]
+    improving = act_e & spec.better(cand, old_e)
+    updates = int(np.count_nonzero(improving))
+    keep = np.flatnonzero(improving | (act_e & ~visited[dst]))
+    v, cand, old_v = dst[keep], cand[keep], old_e[keep]
+    redundant = 0
+    if obs_runtime._enabled and updates:
+        redundant = updates - int(np.unique(v[improving[keep]]).size)
+    spec.reduce_at(vals, v, cand)
+    if san_runtime._enabled:
+        new_v = vals[v]
+        san_probes.monotone_watchdog(spec, old_v, new_v, "engine.frontier")
+        san_probes.check_reduce_settled(spec, cand, new_v, "engine.frontier")
+    changed = spec.better(vals[v], old_v)
+    fresh = ~visited[v]
+    visited[v[fresh]] = True
+    mask = np.zeros(n, dtype=bool)
+    mask[v[changed | fresh]] = True
+    return (
+        np.flatnonzero(mask), scanned, updates, gathered - scanned, redundant
+    )
+
+
 def push_iterations(
     g: Graph,
     spec: QuerySpec,
@@ -178,35 +297,15 @@ def push_iterations(
         fault_point("engine.frontier.iteration")
         if budget is not None:
             budget.tick("engine.frontier", frontier_bytes=frontier.nbytes)
-        edge_idx, u = ragged_gather(g.offsets, frontier)
-        v = g.dst[edge_idx]
-        skipped = 0
-        if blocked_dst is not None and edge_idx.size:
-            keep = ~blocked_dst[v]
-            skipped = int(edge_idx.size - np.count_nonzero(keep))
-            edge_idx, u, v = edge_idx[keep], u[keep], v[keep]
-        old_v = vals[v]
-        cand = spec.propagate(vals[u], weights[edge_idx])
-        improving = spec.better(cand, old_v)
-        updates = int(np.count_nonzero(improving))
-        # All but one improving candidate per destination lose the reduce
-        # race; counting the losers needs a unique() so it only runs traced.
-        redundant = 0
-        if obs_runtime._enabled and updates:
-            redundant = updates - int(np.unique(v[improving]).size)
-        spec.reduce_at(vals, v, cand)
-        if san_runtime._enabled:
-            san_probes.monotone_watchdog(
-                spec, old_v, vals[v], "engine.frontier"
+        if first_visit and _is_dense(g, frontier):
+            new_frontier, scanned, updates, skipped, redundant = _dense_round(
+                g, spec, vals, frontier, weights, visited, blocked_dst
             )
-        changed = spec.better(vals[v], old_v)
-        if first_visit:
-            fresh = ~visited[v]
-            visited[v[fresh]] = True
-            activate = changed | fresh
         else:
-            activate = changed
-        new_frontier = np.unique(v[activate])
+            new_frontier, scanned, updates, skipped, redundant = _sparse_round(
+                g, spec, vals, frontier, weights, first_visit, visited,
+                blocked_dst,
+            )
         if san_runtime._enabled:
             san_probes.check_frontier(
                 new_frontier, g.num_vertices, "engine.frontier"
@@ -214,7 +313,7 @@ def push_iterations(
         info = IterationInfo(
             index=iteration,
             frontier_size=int(frontier.size),
-            edges_scanned=int(edge_idx.size),
+            edges_scanned=scanned,
             updates=updates,
             activated=int(new_frontier.size),
             frontier=frontier if keep_frontier else None,

@@ -17,16 +17,16 @@ import numpy as np
 
 from repro.checks.sanitize import probes as san_probes
 from repro.checks.sanitize import runtime as san_runtime
-from repro.engines.frontier import ragged_gather, symmetric_view
+from repro.engines.frontier import (
+    DENSE_DIVISOR,
+    ragged_gather,
+    symmetric_view,
+)
 from repro.engines.stats import IterationInfo, RunStats
 from repro.graph.csr import Graph
 from repro.queries.base import QuerySpec
 from repro.resilience.budget import Budget
 from repro.resilience.faults import fault_point
-
-#: Ligra's default density threshold: pull when the frontier's out-degree
-#: sum exceeds |E| / DENSE_DIVISOR.
-DENSE_DIVISOR = 20
 
 
 def _pull_round(

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
-
-import numpy as np
+from typing import Union
 
 from repro.core.coregraph import CoreGraph
-from repro.core.triangle import certify_precise
 from repro.engines.frontier import symmetric_view
 from repro.graph.csr import Graph
 from repro.queries.base import QuerySpec
@@ -21,42 +18,6 @@ def resolve_proxy(proxy: Union[CoreGraph, Graph]) -> Graph:
 def working_graph(g: Graph, spec: QuerySpec) -> Graph:
     """The graph the engine actually iterates: symmetrized for WCC."""
     return symmetric_view(g) if spec.symmetric else g
-
-
-def phase2_frontier(spec: QuerySpec, vals: np.ndarray) -> np.ndarray:
-    """Completion-phase initial frontier: all impacted vertices."""
-    if spec.multi_source:
-        return np.arange(vals.shape[0], dtype=np.int64)
-    return np.flatnonzero(spec.reached(vals))
-
-
-def completion_blocked(
-    proxy: Union[CoreGraph, Graph],
-    spec: QuerySpec,
-    source: Optional[int],
-    vals: np.ndarray,
-    triangle: bool,
-) -> Tuple[Optional[np.ndarray], int]:
-    """The ``Reduced(E)`` blocked-destination mask for the completion phase.
-
-    Two sources of provably precise vertices (whose in-edges Algorithm 3
-    removes): lattice saturation (REACH's val == 1 — always applied, it
-    needs no hub data) and, with ``triangle=True``, the Theorem 1
-    hub-distance certificates of §2.2.
-    """
-    blocked = spec.saturated(vals)
-    if triangle:
-        if not isinstance(proxy, CoreGraph):
-            raise ValueError("triangle optimization requires a CoreGraph proxy")
-        if spec.name != "REACH" and not proxy.hub_data:
-            raise ValueError(
-                "triangle optimization requires retained hub values"
-            )
-        certified = certify_precise(proxy, spec, int(source), vals)
-        blocked = certified if blocked is None else (blocked | certified)
-    if blocked is None:
-        return None, 0
-    return blocked, int(blocked.sum())
 
 
 def proxy_transfer_bytes(

@@ -19,14 +19,13 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.core.coregraph import CoreGraph
+from repro.core.twophase import completion_blocked, phase2_frontier
 from repro.engines.frontier import push_iterations
 from repro.engines.stats import IterationInfo, RunStats
 from repro.graph.csr import Graph
 from repro.queries.base import QuerySpec
 from repro.systems.common import (
-    phase2_frontier,
     resolve_proxy,
-    completion_blocked,
     working_graph,
 )
 from repro.systems.report import DEFAULT_COST_PARAMS, CostParams, SystemReport

@@ -22,13 +22,12 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.core.coregraph import CoreGraph
+from repro.core.twophase import completion_blocked, phase2_frontier
 from repro.engines.frontier import push_iterations
 from repro.engines.stats import RunStats
 from repro.graph.csr import Graph
 from repro.queries.base import QuerySpec
 from repro.systems.common import (
-    completion_blocked,
-    phase2_frontier,
     proxy_transfer_bytes,
     resolve_proxy,
     working_graph,

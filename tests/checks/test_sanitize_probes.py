@@ -25,6 +25,7 @@ from repro.engines.async_engine import async_evaluate
 from repro.engines.frontier import evaluate_query
 from repro.engines.pull import direction_optimizing_evaluate
 from repro.engines.scalar import scalar_evaluate
+from repro.graph.builder import from_edges
 from repro.queries.base import QuerySpec
 from repro.queries.registry import ALL_SPECS
 from repro.queries.specs import SSSP, SSWP
@@ -112,6 +113,29 @@ def test_watchdog_in_scalar_engine():
     with enabled(), pytest.raises(SanitizerViolation) as exc:
         scalar_evaluate(example_graph(), bad, source=0)
     assert exc.value.probe == "monotone_watchdog"
+
+
+def test_reduce_settled_catches_overwrite_in_dense_seed_round():
+    # The core phase (proxy: 0->1 only) runs clean even last-write-wins.
+    # The Completion Phase's dense seed round then sends two improving
+    # candidates to vertex 2, 1.0 then 6.0; last-write-wins keeps 6.0.
+    # Both improve on inf, so only the post-reduce probe can see it.
+    g = from_edges([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 5.0)], num_vertices=3)
+    proxy = from_edges([(0, 1, 1.0)], num_vertices=3)
+    bad = mutate(SSSP, AssignReduce)
+    with enabled(), pytest.raises(SanitizerViolation) as exc:
+        two_phase(g, proxy, bad, source=0)
+    assert exc.value.probe == "reduce_settled"
+
+
+def test_reduce_settled_direct():
+    with pytest.raises(SanitizerViolation):
+        probes.check_reduce_settled(
+            SSWP, np.array([4.0, 3.0]), np.array([4.0, 2.0]), "test"
+        )
+    probes.check_reduce_settled(
+        SSSP, np.array([1.0, 6.0]), np.array([1.0, 1.0]), "test"
+    )
 
 
 def test_mutant_runs_unchecked_when_disabled():

@@ -1,14 +1,13 @@
-"""Tests for the shared system-simulator plumbing."""
+"""Tests for the shared 2Phase plumbing the system simulators use."""
 
 import numpy as np
 import pytest
 
 from repro.core.identify import build_core_graph
+from repro.core.twophase import completion_blocked, phase2_frontier
 from repro.engines.frontier import evaluate_query, symmetric_view
 from repro.queries.specs import REACH, SSSP, WCC
 from repro.systems.common import (
-    completion_blocked,
-    phase2_frontier,
     proxy_transfer_bytes,
     resolve_proxy,
     working_graph,
