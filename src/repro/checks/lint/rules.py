@@ -126,12 +126,12 @@ _WRITE_ATTRS = ("save", "savez", "savez_compressed")
 class RC002AtomicWrites(Rule):
     """Raw writes in persistence layers can leave torn files after a crash.
 
-    Results, journals, baselines, and checkpoints funnel through
-    ``atomic_path``/``atomic_open`` (temp file + ``os.replace``), so a
-    reader never observes a truncated artifact. Within the persistence
-    modules this rule flags write-mode ``open``, ``Path.write_text/bytes``,
-    and ``np.save*`` calls whose target is not a name bound by an atomic
-    context manager.
+    Results, journals, baselines, WAL snapshots, and rebuild progress
+    files funnel through ``atomic_path``/``atomic_open`` (temp file +
+    ``os.replace``), so a reader never observes a truncated artifact.
+    Within the persistence modules this rule flags write-mode ``open``,
+    ``Path.write_text/bytes``, and ``np.save*`` calls whose target is not
+    a name bound by an atomic context manager.
     """
 
     id = "RC002"
@@ -449,14 +449,16 @@ _CLOCK_CALLS = frozenset({
 
 
 class RC006KernelDeterminism(Rule):
-    """Checkpoint/resume replays engine schedules; kernels must be pure.
+    """Engine schedules must replay exactly; kernels must be pure.
 
-    A resumed run must be bit-identical to an uninterrupted one (the PR 3
-    guarantee), which unseeded randomness or per-iteration wall-clock
-    reads inside the kernel loop break. Seeded generators
-    (``default_rng(seed)``) are allowed; timing *around* a loop (stats
-    wall time) is allowed; the Budget's internal clock lives in
-    ``repro.resilience`` and is exempt by scope.
+    Three readers compare runs bit-for-bit: the dense-vs-sparse round
+    identity tests, the derandomized stateful evolve test
+    (``tests/evolve/test_stateful.py``), and the benchmark suite's
+    exact-count rungs (edges and rounds per query). Unseeded randomness or
+    per-iteration wall-clock reads inside the kernel loop break all
+    three. Seeded generators (``default_rng(seed)``) are allowed; timing
+    *around* a loop (stats wall time) is allowed; the Budget's internal
+    clock lives in ``repro.resilience`` and is exempt by scope.
     """
 
     id = "RC006"
@@ -492,7 +494,7 @@ class RC006KernelDeterminism(Rule):
                     yield self.violation(
                         ctx, call,
                         f"{dotted}() inside an iteration loop: wall-clock "
-                        "reads in the kernel break checkpoint/resume "
+                        "reads in the kernel break run-to-run "
                         "determinism (time around the loop instead)",
                     )
 
@@ -642,7 +644,7 @@ class RC009RuntimeErrorCatch(Rule):
 class RC010FaultSite(Rule):
     """Engines (and serve workers) without fault sites cannot be crash-tested.
 
-    The failure-mode suite and CI's crash/resume smoke kill engines at
+    The failure-mode suite and CI's crash smoke kill engines at
     named ``fault_point`` sites; an evaluator without one is untestable
     under injected faults and silently escapes that coverage. The same
     holds for ``repro.serve`` worker loops (the chaos-service CI step can

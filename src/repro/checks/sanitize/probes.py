@@ -13,7 +13,8 @@ synchronously from its entry snapshot. Sharing the engine's own
 arithmetic would let a bug hide in both places at once.
 
 Everything here is deterministic (stride sampling, no RNG, no clock), so
-a sanitized run still replays bit-identically under checkpoint/resume.
+a sanitized run replays exactly: the same input gives the same values
+and the same per-round counts.
 """
 
 from __future__ import annotations

@@ -14,9 +14,6 @@ The evaluation is resilient by construction:
   abort returns the partial result with a per-vertex precision
   certificate (Theorem-1 exact / CG-approximate / unreached) and
   ``degraded=True`` instead of raising;
-* ``checkpoint_path``/``checkpoint_every`` write atomic fingerprinted
-  snapshots at iteration boundaries, and ``resume`` restarts a killed run
-  mid-phase, producing values bit-identical to an uninterrupted run;
 * ``completion=False`` deliberately sheds the Completion Phase and returns
   the Core-Phase answer as a certificate-carrying degraded result — the
   graceful-degradation lever :mod:`repro.serve` pulls when its circuit
@@ -24,7 +21,7 @@ The evaluation is resilient by construction:
 
 Re-entrancy: :func:`two_phase` is safe to call concurrently from many
 threads over one shared ``(g, proxy)`` pair. All mutable run state
-(``vals``, frontiers, stats, the checkpointer) is per-call; the inputs are
+(``vals``, frontiers, visited mask, stats) is per-call; the inputs are
 only read. The shared caches it touches are individually synchronized —
 :func:`~repro.engines.frontier.symmetric_view` builds under a lock, the
 metrics registry and journal serialize internally, and span stacks are
@@ -37,7 +34,6 @@ BudgetReuseError` instead of silently inheriting another run's clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -57,12 +53,6 @@ from repro.obs.spans import span
 from repro.queries.base import QuerySpec
 from repro.resilience.anytime import certificate_counts, precision_certificate
 from repro.resilience.budget import Budget, BudgetExceeded
-from repro.resilience.checkpoint import (
-    Checkpoint,
-    Checkpointer,
-    as_checkpoint,
-    run_fingerprint,
-)
 from repro.resilience.faults import fault_point
 
 
@@ -153,9 +143,6 @@ def two_phase(
     keep_frontier: bool = False,
     budget: Optional[Budget] = None,
     anytime: bool = False,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    checkpoint_every: int = 1,
-    resume: Optional[Union[Checkpoint, str, Path]] = None,
     completion: bool = True,
 ) -> TwoPhaseResult:
     """Evaluate ``spec`` from ``source`` via the 2Phase algorithm.
@@ -166,11 +153,7 @@ def two_phase(
     ``triangle`` requires a :class:`CoreGraph` with retained hub values.
 
     ``budget`` limits span both phases; with ``anytime=True`` an exceeded
-    budget degrades to a partial result instead of raising. With
-    ``checkpoint_path`` the engine state is snapshotted atomically every
-    ``checkpoint_every`` iterations; ``resume`` (a path or loaded
-    :class:`~repro.resilience.checkpoint.Checkpoint`) restarts from such a
-    snapshot after its fingerprint is verified against this run.
+    budget degrades to a partial result instead of raising.
 
     ``completion=False`` runs the Core Phase to convergence and *sheds*
     the Completion Phase: the result is ``degraded=True`` with a precision
@@ -188,158 +171,94 @@ def two_phase(
     phase1_stats = RunStats()
     phase2_stats = RunStats()
 
-    checkpointer: Optional[Checkpointer] = None
-    ck: Optional[Checkpoint] = None
-    if checkpoint_path is not None or resume is not None:
-        # Two full passes over the CSR arrays: paid only by runs that
-        # write or verify a checkpoint, never by plain serving traffic.
-        fingerprint = run_fingerprint(
-            g, spec, source=source, triangle=bool(triangle),
-            algorithm="two_phase",
-        )
-    if checkpoint_path is not None:
-        checkpointer = Checkpointer(
-            checkpoint_path, every=checkpoint_every,
-            fingerprint=fingerprint, engine="two_phase",
-        )
-    if resume is not None:
-        ck = as_checkpoint(resume)
-        ck.verify(fingerprint)
-        if ck.engine != "two_phase":
-            raise ValueError(
-                f"checkpoint was written by engine {ck.engine!r}, "
-                "not two_phase"
-            )
-        if not completion and ck.phase == 2:
-            raise ValueError(
-                "completion=False cannot resume a phase-2 checkpoint"
-            )
-
     if budget is not None:
         budget.begin_run("twophase")
+
+    work_cg = symmetric_view(proxy_g) if spec.symmetric else proxy_g
+    vals = spec.initial_values(n, source)
+    frontier = spec.initial_frontier(n, source)
+    fault_point("twophase.core.begin")
+    try:
+        with span("twophase.core", query=spec.name):
+            run_push(
+                work_cg, spec, vals, frontier,
+                stats=phase1_stats, keep_frontier=keep_frontier,
+                budget=budget,
+            )
+    except BudgetExceeded as exc:
+        if not anytime:
+            raise
+        # Degrade from the Core Phase: saturation (and, when the hub
+        # data supports it, Theorem 1) still certifies mid-run values
+        # because every CG value is achieved by a real path in G.
+        blocked, certified = None, 0
+        if spec.saturation_value is not None or (
+            triangle and isinstance(proxy, CoreGraph)
+            and supports_triangle(spec) and not spec.multi_source
+        ):
+            blocked, certified = completion_blocked(
+                proxy, spec, source, vals, triangle
+            )
+        cert = precision_certificate(spec, vals, certified=blocked)
+        result = TwoPhaseResult(
+            values=vals, phase1=phase1_stats, phase2=phase2_stats,
+            impacted=0, certified_precise=certified,
+            degraded=True, budget_error=exc, certificate=cert,
+            degraded_phase=1,
+        )
+        _emit_result(spec, source, result, n, None)
+        return result
+    # The completion phase's output is the full-graph ground truth, so a
+    # snapshot of the core-phase values is all the precision measurement
+    # needs (one O(n) copy + compare, paid only while tracing).
+    phase1_snapshot = (
+        vals.copy()
+        if obs_runtime._enabled or san_runtime._enabled
+        else None
+    )
+
+    impacted = phase2_frontier(spec, vals)
+    impacted_size = int(impacted.size)
+
+    # Reduced(E): remove the incoming edges of provably precise vertices.
+    # Lattice saturation (REACH's val == 1) is always available; Theorem
+    # 1's hub-distance certificates are the optional triangle optimization.
+    blocked, certified = completion_blocked(
+        proxy, spec, source, vals, triangle
+    )
+
+    if not completion:
+        # Shed the Completion Phase: the converged Core-Phase values are
+        # returned as-is, flagged degraded, with the certificate marking
+        # which vertices are nevertheless provably exact.
+        cert = precision_certificate(spec, vals, certified=blocked)
+        result = TwoPhaseResult(
+            values=vals, phase1=phase1_stats, phase2=phase2_stats,
+            impacted=impacted_size, certified_precise=certified,
+            degraded=True, budget_error=None, certificate=cert,
+            degraded_phase=2,
+        )
+        _emit_result(spec, source, result, n, None)
+        return result
+
+    visited = np.zeros(n, dtype=bool)
+    visited[impacted] = True
 
     degraded = False
     budget_error: Optional[BudgetExceeded] = None
     degraded_phase: Optional[int] = None
-    phase1_snapshot: Optional[np.ndarray] = None
-
-    if ck is not None and ck.phase == 2:
-        # Resume mid-Completion-Phase: the checkpoint carries everything
-        # the phase needs; the Core Phase is not re-run (its stats are
-        # part of the lost process and reported as zero).
-        vals = ck.arrays["vals"].copy()
-        frontier2 = ck.arrays["frontier"].copy()
-        visited = ck.arrays["visited"].astype(bool).copy()
-        blocked = (
-            ck.arrays["blocked"].astype(bool)
-            if "blocked" in ck.arrays else None
-        )
-        impacted_size = int(ck.meta.get("impacted", 0))
-        certified = int(ck.meta.get("certified", 0))
-        start2 = ck.iteration
-    else:
-        work_cg = symmetric_view(proxy_g) if spec.symmetric else proxy_g
-        if ck is not None and ck.phase == 1:
-            vals = ck.arrays["vals"].copy()
-            frontier = ck.arrays["frontier"].copy()
-            start1 = ck.iteration
-        else:
-            vals = spec.initial_values(n, source)
-            frontier = spec.initial_frontier(n, source)
-            start1 = 0
-        if checkpointer is not None:
-            checkpointer.extra_meta = {"phase": 1}
-        fault_point("twophase.core.begin")
-        try:
-            with span("twophase.core", query=spec.name):
-                run_push(
-                    work_cg, spec, vals, frontier,
-                    stats=phase1_stats, keep_frontier=keep_frontier,
-                    budget=budget, checkpointer=checkpointer,
-                    start_iteration=start1,
-                )
-        except BudgetExceeded as exc:
-            if not anytime:
-                raise
-            # Degrade from the Core Phase: saturation (and, when the hub
-            # data supports it, Theorem 1) still certifies mid-run values
-            # because every CG value is achieved by a real path in G.
-            blocked, certified = None, 0
-            if spec.saturation_value is not None or (
-                triangle and isinstance(proxy, CoreGraph)
-                and supports_triangle(spec) and not spec.multi_source
-            ):
-                blocked, certified = completion_blocked(
-                    proxy, spec, source, vals, triangle
-                )
-            cert = precision_certificate(spec, vals, certified=blocked)
-            result = TwoPhaseResult(
-                values=vals, phase1=phase1_stats, phase2=phase2_stats,
-                impacted=0, certified_precise=certified,
-                degraded=True, budget_error=exc, certificate=cert,
-                degraded_phase=1,
-            )
-            _emit_result(spec, source, result, n, None)
-            return result
-        # The completion phase's output is the full-graph ground truth, so a
-        # snapshot of the core-phase values is all the precision measurement
-        # needs (one O(n) copy + compare, paid only while tracing).
-        phase1_snapshot = (
-            vals.copy()
-            if obs_runtime._enabled or san_runtime._enabled
-            else None
-        )
-
-        impacted = phase2_frontier(spec, vals)
-        impacted_size = int(impacted.size)
-
-        # Reduced(E): remove the incoming edges of provably precise
-        # vertices. Lattice saturation (REACH's val == 1) is always
-        # available; Theorem 1's hub-distance certificates are the optional
-        # triangle optimization.
-        blocked, certified = completion_blocked(
-            proxy, spec, source, vals, triangle
-        )
-
-        if not completion:
-            # Shed the Completion Phase: the converged Core-Phase values
-            # are returned as-is, flagged degraded, with the certificate
-            # marking which vertices are nevertheless provably exact.
-            cert = precision_certificate(spec, vals, certified=blocked)
-            result = TwoPhaseResult(
-                values=vals, phase1=phase1_stats, phase2=phase2_stats,
-                impacted=impacted_size, certified_precise=certified,
-                degraded=True, budget_error=None, certificate=cert,
-                degraded_phase=2,
-            )
-            _emit_result(spec, source, result, n, None)
-            return result
-
-        visited = np.zeros(n, dtype=bool)
-        visited[impacted] = True
-        frontier2 = impacted
-        start2 = 0
-
     work_g = symmetric_view(g) if spec.symmetric else g
-    if checkpointer is not None:
-        checkpointer.extra_meta = {
-            "phase": 2, "impacted": impacted_size, "certified": certified,
-        }
-        checkpointer.constants = {} if blocked is None else {
-            "blocked": blocked
-        }
     fault_point("twophase.completion.begin")
     try:
         with span("twophase.completion", query=spec.name):
             run_push(
-                work_g, spec, vals, frontier2,
+                work_g, spec, vals, impacted,
                 stats=phase2_stats,
                 first_visit=True,
                 visited=visited,
                 blocked_dst=blocked,
                 keep_frontier=keep_frontier,
-                budget=budget, checkpointer=checkpointer,
-                start_iteration=start2,
+                budget=budget,
             )
     except BudgetExceeded as exc:
         if not anytime:

@@ -23,7 +23,6 @@ from repro.engines.stats import IterationInfo, RunStats
 from repro.graph.csr import Graph
 from repro.queries.base import QuerySpec
 from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import Checkpoint, Checkpointer
 from repro.resilience.faults import fault_point
 
 
@@ -34,28 +33,21 @@ def async_evaluate(
     chunk_size: int = 1024,
     stats: Optional[RunStats] = None,
     budget: Optional[Budget] = None,
-    checkpointer: Optional[Checkpointer] = None,
-    resume: Optional[Checkpoint] = None,
 ) -> np.ndarray:
     """Evaluate ``spec`` with chunked-asynchronous rounds.
 
-    Budget/checkpoint boundaries are whole rounds (between rounds every
-    chunk's writes are visible, so the round boundary is a consistent
-    cut even for the asynchronous schedule).
+    Budget boundaries are whole rounds (between rounds every chunk's
+    writes are visible, so the round boundary is a consistent cut even
+    for the asynchronous schedule).
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     work = symmetric_view(g) if spec.symmetric else g
     weights = spec.weight_transform(work.edge_weights())
     n = g.num_vertices
-    if resume is not None:
-        vals = resume.arrays["vals"].copy()
-        frontier = resume.arrays["frontier"].copy()
-        iteration = resume.iteration
-    else:
-        vals = spec.initial_values(n, source)
-        frontier = np.unique(spec.initial_frontier(n, source))
-        iteration = 0
+    vals = spec.initial_values(n, source)
+    frontier = np.unique(spec.initial_frontier(n, source))
+    iteration = 0
     in_next = np.zeros(n, dtype=bool)
     if san_runtime._enabled:
         san_probes.check_csr(work, "engine.async")
@@ -103,6 +95,4 @@ def async_evaluate(
             ))
         frontier = new_frontier
         iteration += 1
-        if checkpointer is not None:
-            checkpointer.maybe_save(iteration, vals=vals, frontier=frontier)
     return vals

@@ -22,7 +22,6 @@ from repro.engines.stats import RunStats, IterationInfo
 from repro.graph.csr import Graph
 from repro.queries.base import QuerySpec, Selection
 from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import Checkpoint, Checkpointer
 from repro.resilience.faults import fault_point
 
 
@@ -31,16 +30,12 @@ def evaluate_batch(
     spec: QuerySpec,
     sources: Sequence[int],
     stats: Optional[RunStats] = None,
-    max_iterations: Optional[int] = None,
     budget: Optional[Budget] = None,
-    checkpointer: Optional[Checkpointer] = None,
-    resume: Optional[Checkpoint] = None,
 ) -> np.ndarray:
     """Evaluate ``spec`` from every source; returns a ``(k, n)`` matrix.
 
-    Row ``i`` equals ``evaluate_query(g, spec, sources[i])``. Budget and
-    checkpoint boundaries are the shared synchronous rounds; a checkpoint
-    stores the whole ``(k, n)`` value matrix plus the union frontier.
+    Row ``i`` equals ``evaluate_query(g, spec, sources[i])``. Budget
+    boundaries are the shared synchronous rounds.
     """
     if spec.multi_source:
         raise ValueError(f"{spec.name} is already multi-source; batch "
@@ -50,23 +45,13 @@ def evaluate_batch(
     n = g.num_vertices
     k = len(sources)
     weights = spec.weight_transform(work.edge_weights())
-    if resume is not None:
-        vals = resume.arrays["vals"].copy()
-        frontier = resume.arrays["frontier"].copy()
-        iteration = resume.iteration
-        if vals.shape != (k, n):
-            raise ValueError(
-                f"checkpoint value matrix {vals.shape} does not match "
-                f"{(k, n)} for these sources"
-            )
-    else:
-        vals = np.full((k, n), spec.init_value, dtype=np.float64)
-        for i, s in enumerate(sources):
-            if not 0 <= s < n:
-                raise ValueError(f"source {s} out of range")
-            vals[i, s] = spec.source_value
-        frontier = np.unique(np.asarray(sources, dtype=np.int64))
-        iteration = 0
+    vals = np.full((k, n), spec.init_value, dtype=np.float64)
+    for i, s in enumerate(sources):
+        if not 0 <= s < n:
+            raise ValueError(f"source {s} out of range")
+        vals[i, s] = spec.source_value
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    iteration = 0
     row_idx = np.arange(k)[:, None]
     while frontier.size:
         fault_point("engine.batch.round")
@@ -100,8 +85,4 @@ def evaluate_batch(
             ))
         frontier = new_frontier
         iteration += 1
-        if checkpointer is not None:
-            checkpointer.maybe_save(iteration, vals=vals, frontier=frontier)
-        if max_iterations is not None and iteration >= max_iterations:
-            break
     return vals

@@ -28,7 +28,6 @@ from repro.obs import runtime as obs_runtime
 from repro.obs import spans as obs_spans
 from repro.queries.base import QuerySpec
 from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import Checkpoint, Checkpointer
 from repro.resilience.faults import fault_point
 
 _SUPPORTED = {"SSSP", "BFS"}
@@ -41,15 +40,11 @@ def delta_stepping(
     delta: Optional[float] = None,
     stats: Optional[RunStats] = None,
     budget: Optional[Budget] = None,
-    checkpointer: Optional[Checkpointer] = None,
-    resume: Optional[Checkpoint] = None,
 ) -> np.ndarray:
     """Evaluate SSSP/BFS from ``source`` with bucket width ``delta``.
 
     ``delta=None`` picks the mean edge weight (a common default).
-    ``budget`` is enforced per relaxation round; checkpoints are written at
-    bucket boundaries (tentative distances + bucket assignment), which is
-    the engine's natural consistent cut.
+    ``budget`` is enforced per relaxation round.
     """
     if spec.name not in _SUPPORTED:
         raise ValueError(
@@ -67,20 +62,12 @@ def delta_stepping(
 
     n = g.num_vertices
     light = weights <= delta
-    if resume is not None:
-        dist = resume.arrays["dist"].copy()
-        bucket_of = resume.arrays["bucket_of"].copy()
-        current = int(resume.meta["current_bucket"])
-        round_idx = int(resume.meta.get("round_idx", 0))
-        buckets_done = resume.iteration
-    else:
-        dist = np.full(n, np.inf)
-        dist[int(source)] = 0.0
-        bucket_of = np.full(n, -1, dtype=np.int64)
-        bucket_of[source] = 0
-        current = 0
-        round_idx = 0
-        buckets_done = 0
+    dist = np.full(n, np.inf)
+    dist[int(source)] = 0.0
+    bucket_of = np.full(n, -1, dtype=np.int64)
+    bucket_of[source] = 0
+    current = 0
+    round_idx = 0
     # Re-improving a previously-settled tentative distance means the prior
     # relaxation was redundant; the mask is only kept while telemetry is on.
     ever_improved = np.zeros(n, dtype=bool) if obs_runtime._enabled else None
@@ -158,16 +145,6 @@ def delta_stepping(
                 ))
             round_idx += 1
         current += 1
-        buckets_done += 1
-        if checkpointer is not None:
-            # Bucket close is the engine's consistent cut: the tentative
-            # distances plus bucket assignment fully determine the rest.
-            checkpointer.extra_meta.update(
-                current_bucket=current, round_idx=round_idx
-            )
-            checkpointer.maybe_save(
-                buckets_done, dist=dist, bucket_of=bucket_of
-            )
     if obs_runtime._enabled:
         phase = obs_spans.current_span_name()
         obs_metrics.counter(

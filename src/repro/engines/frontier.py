@@ -39,7 +39,6 @@ from repro.obs import runtime as obs_runtime
 from repro.obs import spans as obs_spans
 from repro.queries.base import QuerySpec
 from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import Checkpointer
 from repro.resilience.faults import fault_point
 
 #: Ligra's density threshold: a round whose frontier out-degree sum exceeds
@@ -245,11 +244,8 @@ def push_iterations(
     first_visit: bool = False,
     visited: Optional[np.ndarray] = None,
     blocked_dst: Optional[np.ndarray] = None,
-    max_iterations: Optional[int] = None,
     keep_frontier: bool = False,
     budget: Optional[Budget] = None,
-    checkpointer: Optional[Checkpointer] = None,
-    start_iteration: int = 0,
 ) -> Generator[IterationInfo, None, None]:
     """Drive synchronous push rounds, mutating ``vals`` in place.
 
@@ -274,13 +270,6 @@ def push_iterations(
         Execution limits enforced at each round boundary; exceeding one
         raises :class:`~repro.resilience.budget.BudgetExceeded` with the
         values array left at its (valid, monotonically improving) state.
-    checkpointer:
-        Persists ``(vals, next frontier, visited)`` after each completed
-        round on its cadence; resuming passes the restored arrays back in
-        with ``start_iteration`` set to the checkpoint's iteration.
-    start_iteration:
-        Index of the first round (for resumed runs, so iteration-indexed
-        telemetry and ``max_iterations`` accounting line up).
     """
     if weights is None:
         weights = spec.weight_transform(g.edge_weights())
@@ -292,7 +281,7 @@ def push_iterations(
         san_probes.check_frontier(
             frontier, g.num_vertices, "engine.frontier"
         )
-    iteration = start_iteration
+    iteration = 0
     while frontier.size:
         fault_point("engine.frontier.iteration")
         if budget is not None:
@@ -322,21 +311,9 @@ def push_iterations(
         )
         if obs_runtime._enabled:
             _emit_iteration(info)
-        if checkpointer is not None:
-            # State to restart round ``iteration + 1``: the values after
-            # this round, the frontier it produced, and the visited mask.
-            checkpointer.maybe_save(
-                iteration + 1, vals=vals, frontier=new_frontier,
-                visited=visited,
-            )
         yield info
         frontier = new_frontier
         iteration += 1
-        if (
-            max_iterations is not None
-            and iteration - start_iteration >= max_iterations
-        ):
-            return
 
 
 def run_push(

@@ -22,7 +22,6 @@ from repro.obs import runtime as obs_runtime
 from repro.obs import spans as obs_spans
 from repro.queries.base import QuerySpec
 from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import Checkpoint, Checkpointer
 from repro.resilience.faults import fault_point
 
 
@@ -31,28 +30,18 @@ def scalar_evaluate(
     spec: QuerySpec,
     source: Optional[int] = None,
     budget: Optional[Budget] = None,
-    checkpointer: Optional[Checkpointer] = None,
-    resume: Optional[Checkpoint] = None,
 ) -> np.ndarray:
     """Worklist evaluation of ``spec`` from ``source``; O(n * m) worst case.
 
-    Iteration boundaries for ``budget``/``checkpointer`` purposes are
-    worklist pops; a checkpoint stores the value array plus the pending
-    queue (FIFO order preserved), so a resumed run replays the identical
-    schedule.
+    Iteration boundaries for ``budget`` purposes are worklist pops.
     """
     work = symmetrize(g) if spec.symmetric else g
     weights = spec.weight_transform(work.edge_weights())
-    if resume is not None:
-        vals = resume.arrays["vals"].copy()
-        queue = deque(int(x) for x in resume.arrays["queue"])
-        pops = resume.iteration
-    else:
-        vals = spec.initial_values(g.num_vertices, source)
-        queue = deque(
-            int(x) for x in spec.initial_frontier(g.num_vertices, source)
-        )
-        pops = 0
+    vals = spec.initial_values(g.num_vertices, source)
+    queue = deque(
+        int(x) for x in spec.initial_frontier(g.num_vertices, source)
+    )
+    pops = 0
     in_queue = np.zeros(g.num_vertices, dtype=bool)
     in_queue[list(queue)] = True
     if san_runtime._enabled:
@@ -88,11 +77,6 @@ def scalar_evaluate(
                 if not in_queue[v]:
                     in_queue[v] = True
                     queue.append(v)
-        if checkpointer is not None:
-            checkpointer.maybe_save(
-                pops, vals=vals,
-                queue=np.asarray(list(queue), dtype=np.int64),
-            )
     if obs_runtime._enabled:
         phase = obs_spans.current_span_name()
         redundant = updates - int(updated.sum()) if updated is not None else 0

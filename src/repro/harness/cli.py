@@ -173,8 +173,6 @@ def _cmd_query(args) -> int:
     source = None if spec.multi_source else args.source
     if source is None and not spec.multi_source:
         raise SystemExit(f"{spec.name} needs a source vertex")
-    if (args.checkpoint or args.resume) and not args.cg:
-        raise SystemExit("--checkpoint/--resume require --cg")
 
     truth = None
     if not args.no_direct:
@@ -199,9 +197,6 @@ def _cmd_query(args) -> int:
             res = two_phase(
                 g, cg, spec, source, triangle=args.triangle,
                 budget=budget, anytime=args.anytime,
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-                resume=args.resume,
             )
         except BudgetExceeded as exc:
             info = exc.as_dict()
@@ -1037,14 +1032,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="on budget abort, return the partial result "
                               "with a per-vertex precision certificate "
                               "instead of failing")
-    query_p.add_argument("--checkpoint", metavar="PATH",
-                         help="write atomic engine snapshots here "
-                              "(requires --cg)")
-    query_p.add_argument("--checkpoint-every", type=int, default=1,
-                         metavar="N", help="snapshot every N iterations")
-    query_p.add_argument("--resume", metavar="PATH",
-                         help="resume a killed run from a checkpoint "
-                              "(requires --cg)")
     query_p.add_argument("--no-direct", action="store_true",
                          help="skip the direct ground-truth evaluation "
                               "(only the 2phase run executes)")

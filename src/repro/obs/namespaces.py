@@ -179,7 +179,6 @@ EVENT_NAMES: FrozenSet[str] = frozenset({
     "twophase.result",
     "scalar.run",
     "delta_stepping.run",
-    "checkpoint.saved",
     "budget.exceeded",
     "fault.injected",
     "sanitizer.violation",

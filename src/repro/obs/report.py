@@ -78,10 +78,8 @@ def _quality_rows(summary: RunSummary) -> List[List[Any]]:
 
 
 def _resilience_rows(events: List[Dict[str, Any]]) -> List[List[Any]]:
-    """Budget aborts, degraded results, checkpoints, injected faults."""
+    """Budget aborts, degraded results, injected faults, serve/evolve."""
     rows: List[List[Any]] = []
-    checkpoints = 0
-    last_ck: Optional[Dict[str, Any]] = None
     for ev in events:
         name = ev.get("name")
         if name == "budget.exceeded":
@@ -100,9 +98,6 @@ def _resilience_rows(events: List[Dict[str, Any]]) -> List[List[Any]]:
                 f"{cert.get('approx', 0)} approx / "
                 f"{cert.get('unreached', 0)} unreached",
             ])
-        elif name == "checkpoint.saved":
-            checkpoints += 1
-            last_ck = ev
         elif name == "fault.injected":
             rows.append([
                 "fault injected",
@@ -158,13 +153,6 @@ def _resilience_rows(events: List[Dict[str, Any]]) -> List[List[Any]]:
                 f"{ev.get('rebuilds', 0)} rebuilds, "
                 f"{ev.get('swaps', 0)} swaps",
             ])
-    if checkpoints:
-        rows.append([
-            "checkpoints",
-            f"{checkpoints} saved",
-            f"last at iteration {last_ck.get('iteration')} "
-            f"(phase {last_ck.get('phase', '-')})",
-        ])
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Resilient execution: budgets, checkpoint/resume, anytime results, faults.
+"""Resilient execution: budgets, anytime results, faults, atomic writes.
 
 The layer that turns the reproduction's all-or-nothing runner into a
 production-shaped one:
@@ -7,8 +7,6 @@ production-shaped one:
   deadline, cumulative iteration cap, frontier-memory cap) enforced at
   iteration boundaries in every engine; violations raise a structured
   :class:`BudgetExceeded`;
-* :mod:`~repro.resilience.checkpoint` — atomic, fingerprinted snapshots of
-  engine state so a killed run resumes mid-phase bit-identically;
 * :mod:`~repro.resilience.anytime` — per-vertex precision certificates
   (Theorem-1 exact / CG-approximate / unreached) that make a
   budget-aborted ``two_phase`` return a usable partial result;
@@ -36,16 +34,6 @@ from repro.resilience.atomic import (
     atomic_write_text,
 )
 from repro.resilience.budget import Budget, BudgetExceeded, BudgetReuseError
-from repro.resilience.checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    CheckpointMismatch,
-    Checkpointer,
-    as_checkpoint,
-    load_checkpoint,
-    run_fingerprint,
-    save_checkpoint,
-)
 from repro.resilience.faults import (
     InjectedCrash,
     InjectedFault,
@@ -58,14 +46,6 @@ __all__ = [
     "Budget",
     "BudgetExceeded",
     "BudgetReuseError",
-    "Checkpoint",
-    "CheckpointError",
-    "CheckpointMismatch",
-    "Checkpointer",
-    "as_checkpoint",
-    "load_checkpoint",
-    "run_fingerprint",
-    "save_checkpoint",
     "CERT_APPROX",
     "CERT_EXACT",
     "CERT_NAMES",

@@ -12,11 +12,10 @@ Faults come from two places:
 * programmatically — :func:`install` / the :func:`injected` context
   manager (what the failure-mode test suite uses);
 * the ``REPRO_FAULTS`` environment variable, parsed at import and on
-  :func:`configure_from_env` — what lets CI kill a checkpointing CLI run
-  mid-flight. Syntax: semicolon-separated ``site:kind:hit[:param]``
-  entries, e.g. ``engine.frontier.iteration:crash:40`` (crash at the 40th
-  hit) or ``checkpoint.save:delay:1:0.25`` (sleep 250 ms at the first
-  save). A hit spec with a ``+`` suffix (``serve.worker.request:crash:2+``)
+  :func:`configure_from_env` — what lets CI kill a CLI run mid-flight.
+  Syntax: semicolon-separated ``site:kind:hit[:param]`` entries, e.g.
+  ``engine.frontier.iteration:crash:40`` (crash at the 40th hit) or
+  ``wal.fsync:delay:1:0.25`` (sleep 250 ms at the first WAL fsync). A hit spec with a ``+`` suffix (``serve.worker.request:crash:2+``)
   makes the fault *repeat*: it fires on every hit from that number on —
   what poisoned-request tests use to fail the same request twice.
 
@@ -24,7 +23,7 @@ Known sites (grep for ``fault_point`` for ground truth):
 ``engine.frontier.iteration``, ``engine.scalar.pop``,
 ``engine.delta_stepping.round``, ``engine.batch.round``,
 ``engine.async.round``, ``engine.pull.round``, ``twophase.core.begin``,
-``twophase.completion.begin``, ``checkpoint.save``, ``io.load``,
+``twophase.completion.begin``, ``io.load``,
 ``artifacts.read``, ``journal.close``, ``serve.worker.request``,
 ``obs.live.profiler.sample``, ``obs.live.exporter.serve``,
 ``graph.mutate.add``, ``graph.mutate.remove``, ``evolve.apply``,

@@ -21,8 +21,6 @@ from repro.engines.frontier import push_iterations
 from repro.graph.builder import from_arrays
 from repro.obs import runtime as obs_runtime
 from repro.queries.registry import ALL_SPECS
-from repro.resilience import load_checkpoint
-from repro.resilience.faults import InjectedCrash, injected
 
 ALL_DENSE = 10**18
 ALL_SPARSE = 1
@@ -140,28 +138,3 @@ def test_random_multigraph_round_equivalence(case):
     assert np.array_equal(dense[1], sparse[1])
     assert dense[2] == sparse[2]
 
-
-def test_phase2_checkpoint_resume_through_dense_rounds(
-    monkeypatch, dense_calls, tmp_path, zoo
-):
-    monkeypatch.setattr(frontier_mod, "DENSE_DIVISOR", ALL_DENSE)
-    g, cgs = zoo
-    spec = ALL_SPECS[0]
-    cg = cgs[spec.name]
-    whole = two_phase(g, cg, spec, 1, triangle=True)
-    assert whole.phase2.iterations >= 3
-    path = tmp_path / "ck.npz"
-    # Crash at the start of phase 2's third round: the checkpoint holds
-    # the state after its second, and every resumed round is dense.
-    crash_at = whole.phase1.iterations + 3
-    with injected("engine.frontier.iteration", "crash", at_hit=crash_at):
-        with pytest.raises(InjectedCrash):
-            two_phase(g, cg, spec, 1, triangle=True,
-                      checkpoint_path=path, checkpoint_every=1)
-    ck = load_checkpoint(path)
-    assert ck.phase == 2 and ck.iteration == 2
-    dense_calls.clear()
-    resumed = two_phase(g, cg, spec, 1, triangle=True, resume=ck)
-    assert len(dense_calls) == resumed.phase2.iterations
-    assert resumed.values.tobytes() == whole.values.tobytes()
-    assert _rounds(resumed.phase2) == _rounds(whole.phase2)[2:]

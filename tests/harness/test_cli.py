@@ -320,32 +320,12 @@ class TestResilienceFlags:
         assert "certificate:" in out
         assert "match ground truth: True" in out
 
-    def test_checkpoint_requires_cg(self, tmp_path):
-        with pytest.raises(SystemExit, match="require --cg"):
-            main(["query", "PK", "SSSP", "3",
-                  "--checkpoint", str(tmp_path / "ck.npz")])
-
     def test_no_direct_skips_truth(self, pk_cg, capsys):
         assert main(["query", "PK", "SSSP", "3", "--cg", str(pk_cg),
                      "--no-direct"]) == 0
         out = capsys.readouterr().out
         assert "direct evaluation" not in out
         assert "2phase via CG" in out
-
-    def test_crash_checkpoint_resume_flow(self, pk_cg, tmp_path, capsys):
-        """Kill a checkpointing run mid-flight; resume must finish exact."""
-        from repro.resilience.faults import InjectedCrash, injected
-
-        ck = tmp_path / "ck.npz"
-        with injected("engine.frontier.iteration", "crash", at_hit=6):
-            with pytest.raises(InjectedCrash):
-                main(["query", "PK", "SSSP", "3", "--cg", str(pk_cg),
-                      "--no-direct", "--checkpoint", str(ck)])
-        assert ck.exists()
-        capsys.readouterr()
-        assert main(["query", "PK", "SSSP", "3", "--cg", str(pk_cg),
-                     "--resume", str(ck)]) == 0
-        assert "exact=True" in capsys.readouterr().out
 
 
 class TestCache:

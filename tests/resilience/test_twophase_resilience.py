@@ -1,22 +1,19 @@
-"""two_phase budgets, anytime certificates, and mid-phase crash-resume."""
+"""two_phase budgets and anytime certificates."""
 
 import numpy as np
 import pytest
 
 from repro.core.identify import build_core_graph
 from repro.core.twophase import two_phase
-from repro.core.unweighted import build_unweighted_core_graph
 from repro.engines.frontier import evaluate_query
-from repro.queries import SSSP, WCC
-from repro.resilience import Budget, BudgetExceeded, load_checkpoint
+from repro.queries import SSSP
+from repro.resilience import Budget, BudgetExceeded
 from repro.resilience.anytime import (
     CERT_APPROX,
     CERT_EXACT,
     CERT_UNREACHED,
     certificate_counts,
 )
-from repro.resilience.checkpoint import CheckpointMismatch
-from repro.resilience.faults import InjectedCrash, injected
 
 
 @pytest.fixture
@@ -94,80 +91,3 @@ class TestBudgetedTwoPhase:
         exact = res.certificate == CERT_EXACT
         assert np.array_equal(res.values[exact], truth[exact])
 
-
-class TestCrashResume:
-    def test_resume_mid_completion_phase_bit_identical(
-        self, tmp_path, sssp_setup
-    ):
-        g, cg, truth = sssp_setup
-        path = tmp_path / "ck.npz"
-        with injected("engine.frontier.iteration", "crash", at_hit=8):
-            with pytest.raises(InjectedCrash):
-                two_phase(g, cg, SSSP, 0, triangle=True,
-                          checkpoint_path=path, checkpoint_every=1)
-        res = two_phase(g, cg, SSSP, 0, triangle=True, resume=path)
-        assert np.array_equal(res.values, truth)
-        assert not res.degraded
-
-    def test_resume_mid_core_phase_bit_identical(self, tmp_path, sssp_setup):
-        g, cg, truth = sssp_setup
-        path = tmp_path / "ck.npz"
-        with injected("engine.frontier.iteration", "crash", at_hit=2):
-            with pytest.raises(InjectedCrash):
-                two_phase(g, cg, SSSP, 0, triangle=True,
-                          checkpoint_path=path, checkpoint_every=1)
-        assert load_checkpoint(path).phase == 1
-        res = two_phase(g, cg, SSSP, 0, triangle=True, resume=path)
-        assert np.array_equal(res.values, truth)
-
-    def test_resume_phase2_checkpoint_skips_core_phase(
-        self, tmp_path, sssp_setup
-    ):
-        g, cg, truth = sssp_setup
-        path = tmp_path / "ck.npz"
-        two_phase(g, cg, SSSP, 0, triangle=True,
-                  checkpoint_path=path, checkpoint_every=1)
-        ck = load_checkpoint(path)
-        assert ck.phase == 2
-        res = two_phase(g, cg, SSSP, 0, triangle=True, resume=ck)
-        assert np.array_equal(res.values, truth)
-        assert res.phase1.iterations == 0  # core phase not re-run
-
-    def test_wcc_crash_resume(self, tmp_path, medium_graph):
-        cg = build_unweighted_core_graph(medium_graph)
-        truth = evaluate_query(medium_graph, WCC)
-        path = tmp_path / "ck.npz"
-        with injected("engine.frontier.iteration", "crash", at_hit=4):
-            with pytest.raises(InjectedCrash):
-                two_phase(medium_graph, cg, WCC,
-                          checkpoint_path=path, checkpoint_every=1)
-        res = two_phase(medium_graph, cg, WCC, resume=path)
-        assert np.array_equal(res.values, truth)
-
-    def test_resume_rejects_wrong_run(self, tmp_path, sssp_setup):
-        g, cg, _ = sssp_setup
-        path = tmp_path / "ck.npz"
-        two_phase(g, cg, SSSP, 0, checkpoint_path=path)
-        with pytest.raises(CheckpointMismatch):
-            two_phase(g, cg, SSSP, 1, resume=path)  # different source
-        with pytest.raises(CheckpointMismatch):
-            # triangle flag is part of the fingerprint
-            two_phase(g, cg, SSSP, 0, triangle=True, resume=path)
-
-    def test_checkpoint_every_n(self, tmp_path, sssp_setup):
-        g, cg, truth = sssp_setup
-        path = tmp_path / "ck.npz"
-        res = two_phase(g, cg, SSSP, 0, checkpoint_path=path,
-                        checkpoint_every=3)
-        assert np.array_equal(res.values, truth)
-        assert load_checkpoint(path).iteration % 3 == 0
-
-    def test_budget_plus_checkpoint_compose(self, tmp_path, sssp_setup):
-        """A deadline-killed checkpointing run resumes to the exact result."""
-        g, cg, truth = sssp_setup
-        path = tmp_path / "ck.npz"
-        with pytest.raises(BudgetExceeded):
-            two_phase(g, cg, SSSP, 0, budget=Budget(max_iterations=6),
-                      checkpoint_path=path, checkpoint_every=1)
-        res = two_phase(g, cg, SSSP, 0, resume=path)
-        assert np.array_equal(res.values, truth)
