@@ -2,7 +2,7 @@
 
 ``suppl_reduced`` quantifies the §4 Reduced-Graph criticism;
 ``suppl_convergence`` shows the iteration-level mechanics behind the
-speedups; ``suppl_engines`` characterizes the evaluation substrate.
+speedups.
 """
 
 
@@ -19,14 +19,6 @@ def test_suppl_convergence(record_experiment):
     core = sum(r[3] for r in result.rows if r[0] == "core")
     direct = sum(r[3] for r in result.rows if r[0] == "direct")
     assert core < direct
-
-
-def test_suppl_engines(record_experiment):
-    result = record_experiment("suppl_engines")
-    sync_iters = {r[0]: r[2] for r in result.rows if r[1] == "sync push"}
-    async_iters = {r[0]: r[2] for r in result.rows if r[1] == "async"}
-    for query in sync_iters:
-        assert async_iters[query] <= sync_iters[query]
 
 
 def test_suppl_shape_agreement(record_experiment):

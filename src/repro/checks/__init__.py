@@ -13,8 +13,8 @@ This package enforces both, with two heads:
 * :mod:`repro.checks.sanitize` — dev-mode runtime probes, enabled by
   ``REPRO_SANITIZE=1`` (or :func:`repro.checks.sanitize.enable`), compiled
   down to one module-attribute read when off. Probes validate CSR
-  structure, frontier hygiene, update monotonicity, core-graph
-  containment, Theorem 1 certificates, and async-engine update visibility.
+  structure, frontier hygiene, update monotonicity, settled reductions,
+  core-graph containment, and Theorem 1 certificates.
 
 The engines import only :mod:`repro.checks.sanitize`; the lint machinery
 loads on demand (CLI / tests), keeping the hot-path import graph flat.

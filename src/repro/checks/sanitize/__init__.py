@@ -16,7 +16,6 @@ Probe catalog (see :mod:`repro.checks.sanitize.probes`):
 ``check_reduce_settled``  no reduced candidate still beats its destination
 ``check_cg_containment``  CG edges are a verbatim subset of G's (Alg. 1)
 ``audit_certified_fixed_point``  Theorem 1 certificates hold at sampled v
-``check_async_no_lost_updates``  async round dominates a sync replay
 ``audit_metric_names``    live registry names are all registered
 ========================  ==================================================
 """

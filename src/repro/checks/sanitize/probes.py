@@ -7,10 +7,9 @@ assume they should run.
 
 The probes are deliberately self-contained recomputations: the
 monotonicity watchdog re-derives the selection direction from the spec,
-the certificate audit re-checks sampled fixed-point conditions through
-the *reverse* graph, and the async lost-update check replays a round
-synchronously from its entry snapshot. Sharing the engine's own
-arithmetic would let a bug hide in both places at once.
+and the certificate audit re-checks sampled fixed-point conditions
+through the *reverse* graph. Sharing the engine's own arithmetic would
+let a bug hide in both places at once.
 
 Everything here is deterministic (stride sampling, no RNG, no clock), so
 a sanitized run replays exactly: the same input gives the same values
@@ -250,46 +249,6 @@ def audit_certified_fixed_point(
                 f"{float(cand[j])!r}",
                 vertex=int(v),
             )
-
-
-def check_async_no_lost_updates(
-    work: Graph,
-    spec: QuerySpec,
-    weights: np.ndarray,
-    frontier: np.ndarray,
-    start_vals: np.ndarray,
-    end_vals: np.ndarray,
-    site: str,
-) -> None:
-    """The async schedule must dominate one synchronous round.
-
-    Immediate visibility may only *add* progress: replaying the round
-    synchronously from its entry snapshot gives the least progress any
-    correct schedule achieves, so an async round ending with a worse
-    value at some vertex has lost an update (the classic read-reduce
-    race). The shadow replay uses ``reduce_at`` on a copy, touching none
-    of the engine's state.
-    """
-    expected = start_vals.copy()
-    from repro.engines.frontier import ragged_gather
-
-    edge_idx, u = ragged_gather(work.offsets, frontier)
-    if edge_idx.size:
-        v = work.dst[edge_idx]
-        cand = spec.propagate(start_vals[u], weights[edge_idx])
-        spec.reduce_at(expected, v, cand)
-    lost = spec.better(expected, end_vals) & ~spec.values_equal(
-        expected, end_vals
-    )
-    if bool(np.any(lost)):
-        i = int(np.flatnonzero(lost)[0])
-        report(
-            "async_lost_update", site,
-            f"{int(np.count_nonzero(lost))} vertex(es) ended the round "
-            f"worse than the synchronous replay (e.g. vertex {i}: "
-            f"{float(end_vals[i])!r} vs expected {float(expected[i])!r})",
-            count=int(np.count_nonzero(lost)),
-        )
 
 
 def check_epoch_integrity(epoch, site: str) -> None:

@@ -10,12 +10,8 @@ from repro.engines.frontier import (
 )
 from repro.engines.scalar import scalar_evaluate
 from repro.engines.batch import evaluate_batch
-from repro.engines.async_engine import async_evaluate
-from repro.engines.pull import direction_optimizing_evaluate
-from repro.engines.delta_stepping import delta_stepping
 
 __all__ = [
-    "delta_stepping",
     "is_fixed_point",
     "RunStats",
     "IterationInfo",
@@ -25,6 +21,4 @@ __all__ = [
     "ragged_gather",
     "scalar_evaluate",
     "evaluate_batch",
-    "async_evaluate",
-    "direction_optimizing_evaluate",
 ]

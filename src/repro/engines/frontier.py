@@ -42,8 +42,7 @@ from repro.resilience.budget import Budget
 from repro.resilience.faults import fault_point
 
 #: Ligra's density threshold: a round whose frontier out-degree sum exceeds
-#: |E| / DENSE_DIVISOR is dense (pushed as one sweep here, pulled in
-#: :mod:`repro.engines.pull`).
+#: |E| / DENSE_DIVISOR is dense (pushed as one sweep over the edge arrays).
 DENSE_DIVISOR = 20
 
 _SYMMETRIC_CACHE: "WeakKeyDictionary[Graph, Graph]" = WeakKeyDictionary()

@@ -48,7 +48,7 @@ def scalar_evaluate(
         san_probes.check_csr(work, "engine.scalar")
     edges_scanned = updates = 0
     # Every write to an already-written vertex means the earlier relaxation
-    # was wasted work (the Bellman-Ford redundancy delta-stepping targets).
+    # was wasted work (Bellman-Ford's redundancy).
     updated = np.zeros(g.num_vertices, dtype=bool) if obs_runtime._enabled else None
     while queue:
         fault_point("engine.scalar.pop")

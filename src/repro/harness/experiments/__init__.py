@@ -24,7 +24,6 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "ablation_identification": ablations.ablation_identification,
     "suppl_reduced": supplementary.suppl_reduced,
     "suppl_convergence": supplementary.suppl_convergence,
-    "suppl_engines": supplementary.suppl_engines,
     "suppl_evolving": supplementary.suppl_evolving,
     "suppl_shape_agreement": supplementary.suppl_shape_agreement,
     "fig02": systems.fig02,

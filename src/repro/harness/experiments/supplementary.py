@@ -4,23 +4,16 @@
   work: edges kept vs vertices still queryable, next to the CG.
 * ``suppl_convergence`` — the per-iteration story behind the speedups:
   direct vs core+completion edge/frontier series.
-* ``suppl_engines`` — scheduling comparison: synchronous push vs chunked
-  async vs direction-optimizing push/pull on the same queries.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
-
-import numpy as np
 
 from repro.analysis.traces import Trace, two_phase_trace
 from repro.baselines.reduced import build_reduced_graph
 from repro.core.twophase import two_phase
-from repro.engines.async_engine import async_evaluate
 from repro.engines.frontier import evaluate_query
-from repro.engines.pull import direction_optimizing_evaluate
 from repro.engines.stats import RunStats
 from repro.harness.cache import get_cg, get_graph, get_sources
 from repro.harness.config import HarnessConfig, default_config
@@ -89,46 +82,6 @@ def suppl_convergence(
                 [trace.label, i, trace.frontier_sizes[i],
                  trace.edges_scanned[i]]
             )
-    return result
-
-
-def suppl_engines(config: Optional[HarnessConfig] = None) -> ExperimentResult:
-    """Scheduling comparison: sync push / async / direction-optimizing."""
-    cfg = _config(config)
-    graph_name = "TT"
-    g = get_graph(graph_name)
-    source = int(get_sources(graph_name, 1)[0])
-    result = ExperimentResult(
-        exp_id="suppl_engines",
-        title=f"Engine scheduling on {graph_name}",
-        paper_reference="supplementary (substrate characterization)",
-        headers=["query", "engine", "iterations", "edges", "wall ms"],
-        notes="All engines converge to identical values (tested); they "
-        "differ in rounds and edge traffic.",
-    )
-    for spec_name in ("SSSP", "SSWP", "REACH"):
-        spec = get_spec(spec_name)
-        runs = (
-            ("sync push", lambda st: evaluate_query(g, spec, source, stats=st)),
-            ("async", lambda st: async_evaluate(
-                g, spec, source, chunk_size=2048, stats=st)),
-            ("direction-opt", lambda st: direction_optimizing_evaluate(
-                g, spec, source, stats=st)),
-        )
-        reference = None
-        for label, run in runs:
-            stats = RunStats()
-            t0 = time.perf_counter()
-            vals = run(stats)
-            wall = (time.perf_counter() - t0) * 1e3
-            if reference is None:
-                reference = vals
-            else:
-                assert np.array_equal(vals, reference)
-            result.rows.append([
-                spec_name, label, stats.iterations,
-                stats.edges_processed, wall,
-            ])
     return result
 
 

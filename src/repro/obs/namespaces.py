@@ -52,9 +52,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "engine.scalar.edges_scanned",
     "engine.scalar.updates",
     "engine.scalar.redundant_relaxations",
-    # Delta-stepping.
-    "engine.delta_stepping.relaxations",
-    "engine.delta_stepping.redundant_relaxations",
     # 2Phase (Algorithm 3) outcomes.
     "twophase.impacted",
     "twophase.certified_precise",
@@ -178,7 +175,6 @@ EVENT_NAMES: FrozenSet[str] = frozenset({
     "cg.built",
     "twophase.result",
     "scalar.run",
-    "delta_stepping.run",
     "budget.exceeded",
     "fault.injected",
     "sanitizer.violation",

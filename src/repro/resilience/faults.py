@@ -21,8 +21,7 @@ Faults come from two places:
 
 Known sites (grep for ``fault_point`` for ground truth):
 ``engine.frontier.iteration``, ``engine.scalar.pop``,
-``engine.delta_stepping.round``, ``engine.batch.round``,
-``engine.async.round``, ``engine.pull.round``, ``twophase.core.begin``,
+``engine.batch.round``, ``twophase.core.begin``,
 ``twophase.completion.begin``, ``io.load``,
 ``artifacts.read``, ``journal.close``, ``serve.worker.request``,
 ``obs.live.profiler.sample``, ``obs.live.exporter.serve``,

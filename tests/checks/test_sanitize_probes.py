@@ -21,9 +21,7 @@ from repro.checks.sanitize import (
 from repro.core.identify import build_core_graph
 from repro.core.twophase import two_phase
 from repro.datasets.example import example_graph
-from repro.engines.async_engine import async_evaluate
 from repro.engines.frontier import evaluate_query
-from repro.engines.pull import direction_optimizing_evaluate
 from repro.engines.scalar import scalar_evaluate
 from repro.graph.builder import from_edges
 from repro.queries.base import QuerySpec
@@ -99,13 +97,6 @@ def test_watchdog_direct_min_direction():
 def test_watchdog_tolerates_float_noise():
     vals = np.array([1.0, 2.0])
     probes.monotone_watchdog(SSSP, vals, vals * (1 + 1e-14), "test")
-
-
-def test_watchdog_in_pull_engine():
-    bad = mutate(SSSP, AssignReduce)
-    with enabled(), pytest.raises(SanitizerViolation) as exc:
-        direction_optimizing_evaluate(example_graph(), bad, source=0)
-    assert exc.value.probe == "monotone_watchdog"
 
 
 def test_watchdog_in_scalar_engine():
@@ -241,34 +232,6 @@ def test_certificate_audit_passes_at_fixed_point():
     truth = evaluate_query(g, SSSP, source=0)
     certified = np.isfinite(truth)
     probes.audit_certified_fixed_point(g, SSSP, truth, certified, "test")
-
-
-# ---------------------------------------------------------------------------
-# Async lost-update detector
-# ---------------------------------------------------------------------------
-
-
-def test_async_probe_catches_lost_update():
-    g = example_graph()
-    spec = SSSP
-    vals = spec.initial_values(g.num_vertices, 0)
-    frontier = np.unique(spec.initial_frontier(g.num_vertices, 0))
-    weights = spec.weight_transform(g.edge_weights())
-    # Pretend the round ended with no progress at all: every update the
-    # synchronous replay finds was lost.
-    with pytest.raises(SanitizerViolation) as exc:
-        probes.check_async_no_lost_updates(
-            g, spec, weights, frontier, vals, vals.copy(), "test"
-        )
-    assert exc.value.probe == "async_lost_update"
-
-
-def test_async_engine_clean_under_sanitizer():
-    g = example_graph()
-    with enabled():
-        got = async_evaluate(g, SSSP, source=0, chunk_size=2)
-    expect = evaluate_query(g, SSSP, source=0)
-    assert np.allclose(got, expect, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------

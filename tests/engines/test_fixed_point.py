@@ -6,10 +6,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from repro.engines.async_engine import async_evaluate
-from repro.engines.delta_stepping import delta_stepping
+from repro.engines.batch import evaluate_batch
 from repro.engines.frontier import evaluate_query, is_fixed_point
-from repro.engines.pull import direction_optimizing_evaluate
+from repro.engines.scalar import scalar_evaluate
 from repro.queries.specs import REACH, SSNP, SSSP, SSWP, VITERBI, WCC
 
 SPECS = (SSSP, SSNP, SSWP, VITERBI, REACH)
@@ -27,10 +26,9 @@ def test_wcc_fixed_point(medium_graph):
 
 
 @pytest.mark.parametrize("engine", [
-    lambda g, s: async_evaluate(g, SSSP, s, chunk_size=32),
-    lambda g, s: direction_optimizing_evaluate(g, SSSP, s),
-    lambda g, s: delta_stepping(g, SSSP, s),
-], ids=["async", "direction-opt", "delta-stepping"])
+    lambda g, s: scalar_evaluate(g, SSSP, s),
+    lambda g, s: evaluate_batch(g, SSSP, [s])[0],
+], ids=["scalar", "batch"])
 def test_alternative_engines_reach_fixed_point(engine, medium_graph):
     vals = engine(medium_graph, 3)
     assert is_fixed_point(medium_graph, SSSP, vals)

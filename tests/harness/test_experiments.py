@@ -65,7 +65,7 @@ def test_registry_complete():
         "table13b", "table13c", "table14", "table15", "table16", "table17",
         "ablation_hubs", "ablation_hub_selection", "ablation_connectivity",
         "ablation_direction", "ablation_identification",
-        "suppl_reduced", "suppl_convergence", "suppl_engines",
+        "suppl_reduced", "suppl_convergence",
         "suppl_evolving", "suppl_shape_agreement",
     }
     assert set(EXPERIMENTS) == expected

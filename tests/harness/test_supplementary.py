@@ -8,7 +8,6 @@ from repro.harness.cache import clear_caches
 from repro.harness.config import HarnessConfig
 from repro.harness.experiments.supplementary import (
     suppl_convergence,
-    suppl_engines,
     suppl_reduced,
 )
 
@@ -50,15 +49,6 @@ def test_convergence_series(cfg):
     core_edges = sum(row[3] for row in r.rows if row[0] == "core")
     direct_edges = sum(row[3] for row in r.rows if row[0] == "direct")
     assert core_edges < direct_edges
-
-
-def test_engines_table(cfg):
-    r = suppl_engines(cfg)
-    assert len(r.rows) == 9  # 3 queries x 3 engines
-    by_engine = {}
-    for row in r.rows:
-        by_engine.setdefault(row[1], []).append(row)
-    assert set(by_engine) == {"sync push", "async", "direction-opt"}
 
 
 def test_evolving_table(cfg):

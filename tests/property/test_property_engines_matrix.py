@@ -1,10 +1,9 @@
 """Property-based equivalence of all evaluation engines.
 
-The synchronous push engine, the chunked-asynchronous engine, the
-direction-optimizing push/pull engine, the batch engine, and the scalar
-worklist engine must converge to identical fixed points on arbitrary
-graphs — the strongest guardrail around the evaluation substrate that
-every experiment stands on.
+The synchronous push engine, the batch engine, and the scalar worklist
+engine must converge to identical fixed points on arbitrary graphs —
+the strongest guardrail around the evaluation substrate that every
+experiment stands on.
 """
 
 import numpy as np
@@ -12,10 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engines.async_engine import async_evaluate
 from repro.engines.batch import evaluate_batch
 from repro.engines.frontier import evaluate_query
-from repro.engines.pull import direction_optimizing_evaluate
 from repro.engines.scalar import scalar_evaluate
 from repro.graph.builder import from_arrays
 from repro.queries.specs import BFS, REACH, SSNP, SSSP, SSWP, VITERBI
@@ -32,7 +29,7 @@ def graph_and_source(draw):
     dst = rng.integers(0, n, m)
     weights = rng.integers(1, 8, m).astype(float)
     g = from_arrays(n, src, dst, weights)
-    return g, draw(st.integers(0, n - 1)), draw(st.integers(1, 9))
+    return g, draw(st.integers(0, n - 1))
 
 
 def _norm(a):
@@ -43,11 +40,9 @@ def _norm(a):
 @given(data=graph_and_source())
 @settings(max_examples=30, deadline=None)
 def test_all_engines_agree(spec, data):
-    g, source, chunk = data
+    g, source = data
     sync = evaluate_query(g, spec, source)
     for result in (
-        async_evaluate(g, spec, source, chunk_size=chunk),
-        direction_optimizing_evaluate(g, spec, source),
         evaluate_batch(g, spec, [source])[0],
         scalar_evaluate(g, spec, source),
     ):
@@ -57,7 +52,7 @@ def test_all_engines_agree(spec, data):
 @given(data=graph_and_source())
 @settings(max_examples=25, deadline=None)
 def test_batch_of_many_sources(data):
-    g, source, _ = data
+    g, source = data
     sources = list({source, 0, g.num_vertices - 1})
     batch = evaluate_batch(g, SSSP, sources)
     for i, s in enumerate(sources):
