@@ -650,9 +650,9 @@ class RC010FaultSite(Rule):
     holds for ``repro.serve`` worker loops (the chaos-service CI step can
     only prove worker supervision if every loop that pops and executes
     requests declares a kill site), for the ``repro.obs.live``
-    background threads — the sampling profiler and scrape exporter run
-    unattended for the whole process lifetime, so their loops must be
-    killable in chaos tests too — and for the ``repro.evolve``
+    scrape exporter — its thread runs unattended for the whole process
+    lifetime, so its loop must be killable in chaos tests too — and for
+    the ``repro.evolve``
     rebuild supervisor, whose crash-restart loop is exactly the thing
     the mutation-storm chaos job kills.
     """

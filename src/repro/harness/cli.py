@@ -892,6 +892,15 @@ def _cmd_obs_top(args) -> int:
         except ValueError as exc:
             print(f"malformed /metrics from {base}: {exc}", file=sys.stderr)
             return 2
+        if statz_status != 200:
+            print(f"/statz from {base} answered HTTP {statz_status}",
+                  file=sys.stderr)
+            return 2
+        try:
+            statz = json.loads(statz_body)
+        except ValueError as exc:
+            print(f"malformed /statz from {base}: {exc}", file=sys.stderr)
+            return 2
         lines = [f"== obs top @ {base} "
                  f"(healthz {health_status}, frame {frames + 1}) =="]
         try:
@@ -901,27 +910,17 @@ def _cmd_obs_top(args) -> int:
             ))
         except ValueError:
             pass
-        if statz_status == 200:
-            statz = json.loads(statz_body)
-            keys = ("submitted", "completed", "degraded", "failed",
-                    "queue_depth", "lost")
-            lines.append("service  " + "  ".join(
-                f"{k}={statz[k]}" for k in keys if k in statz
-            ))
-            p50, p95 = statz.get("latency_p50_ms"), statz.get("latency_p95_ms")
-            if p50 is not None:
-                lines.append(
-                    f"latency  p50={p50:.2f}ms  "
-                    f"p95={(p95 if p95 is not None else p50):.2f}ms"
-                )
-            slo = statz.get("slo") or {}
-            for spec in slo.get("specs", ()):
-                flag = "FIRING" if spec.get("firing") else "ok"
-                lines.append(
-                    f"slo      {spec['name']:<16s} burn_long="
-                    f"{spec['burn_long']:<8g} burn_short="
-                    f"{spec['burn_short']:<8g} {flag}"
-                )
+        keys = ("submitted", "completed", "degraded", "failed",
+                "queue_depth", "lost")
+        lines.append("service  " + "  ".join(
+            f"{k}={statz[k]}" for k in keys if k in statz
+        ))
+        p50, p95 = statz.get("latency_p50_ms"), statz.get("latency_p95_ms")
+        if p50 is not None:
+            lines.append(
+                f"latency  p50={p50:.2f}ms  "
+                f"p95={(p95 if p95 is not None else p50):.2f}ms"
+            )
         for fam, label in (("proc_rss_bytes", "rss_bytes"),
                            ("proc_threads", "threads"),
                            ("obs_live_exporter_scrapes_total", "scrapes")):
@@ -981,13 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write a JSONL telemetry journal of this run")
     tele.add_argument("--metrics", action="store_true",
                       help="print span/metrics summary tables on exit")
-    tele.add_argument("--profile", metavar="PATH", default=None,
-                      help="sample stacks for the whole run and write a "
-                           "collapsed-stack flamegraph file here (implies "
-                           "telemetry, for span attribution)")
-    tele.add_argument("--profile-interval", type=float, default=0.005,
-                      metavar="SECONDS",
-                      help="sampling period for --profile (default 5ms)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser(
         "list", help="list experiment ids", parents=[tele]
@@ -1315,20 +1307,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     trace_path = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
-    profile_path = getattr(args, "profile", None)
-    if trace_path is None and not want_metrics and profile_path is None:
+    if trace_path is None and not want_metrics:
         return args.func(args)
 
     from repro import obs
 
-    profiler = None
-    if profile_path is not None:
-        from repro.obs.live import profile as obs_profile
-
-        profiler = obs_profile.Profiler(
-            interval_s=getattr(args, "profile_interval", 0.005)
-        ).start()
-    snap = None
     with obs.telemetry(
         trace_path=trace_path,
         config=default_config(),
@@ -1336,18 +1319,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv=list(argv) if argv is not None else sys.argv[1:],
     ):
         rc = args.func(args)
-        if profiler is not None:
-            # Stop inside the telemetry context so the profile snapshot
-            # lands in the journal and `obs report` can render it.
-            snap = profiler.stop()
-            obs.journal.emit({
-                "type": "event", "name": "obs.profile", **snap.to_dict(),
-            })
-    if snap is not None:
-        snap.write_collapsed(profile_path)
-        print("\n== profile (self time per span) ==")
-        print(snap.render_table())
-        print(f"collapsed stacks -> {profile_path}")
     if want_metrics:
         print("\n== span summary ==")
         print(obs.spans.render_summary())

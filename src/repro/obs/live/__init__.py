@@ -1,8 +1,8 @@
-"""Real-time observability: streaming histograms, scrape exporter, profiler, SLOs.
+"""Real-time observability: streaming histograms and a scrape exporter.
 
 ``repro.obs`` (PRs 1-2) made runs analyzable *after* they end — journals,
 reports, regression gates. This package makes a running process observable
-*while it executes*, with four pillars:
+*while it executes*, with two pillars:
 
 * :mod:`~repro.obs.live.hist` — mergeable log-bucketed streaming
   histograms with constant memory and instant percentiles, registered in
@@ -12,19 +12,12 @@ reports, regression gates. This package makes a running process observable
 * :mod:`~repro.obs.live.prom` + :mod:`~repro.obs.live.server` — Prometheus
   text-exposition rendering of the whole registry plus process runtime
   gauges (RSS, GC, threads), served by a stdlib HTTP thread on
-  ``/metrics``, ``/healthz``, and ``/statz`` (JSON);
-* :mod:`~repro.obs.live.profile` — a wall-clock sampling profiler over
-  ``sys._current_frames()`` that tags every sample with the innermost
-  active span (phase-1 / phase-2 / CG-build / worker-idle attribution)
-  and emits collapsed-stack flamegraph files;
-* :mod:`~repro.obs.live.slo` — declarative SLO specs evaluated with
-  multi-window burn-rate alerting, feeding journal events, registry
-  metrics, and ``/statz``.
+  ``/metrics``, ``/healthz``, and ``/statz`` (JSON).
 
 Only :mod:`~repro.obs.live.hist` is imported eagerly (the metrics registry
-depends on it); import the other pillars explicitly::
+depends on it); import the exporter explicitly::
 
-    from repro.obs.live import profile, prom, server, slo
+    from repro.obs.live import prom, server
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ import gc
 import os
 import threading
 import time
+from collections import deque
 from typing import Dict, List, Optional
 
 from repro.obs.live.hist import StreamingHistogram
@@ -62,6 +63,12 @@ def cpu_seconds() -> Optional[float]:
 _GC_PAUSES = StreamingHistogram()
 _gc_lock = threading.Lock()
 _gc_start: Dict[int, float] = {}
+# Pauses wait here until gc_pauses() folds them into the histogram. The
+# hook must never take the histogram's lock: any allocation inside
+# snapshot() can start a collection, which runs the hook on the thread
+# that already holds that lock. Appends are atomic and allocate nothing
+# the collector tracks; the bound caps memory when nobody scrapes.
+_gc_pending: "deque[float]" = deque(maxlen=65536)
 
 
 def _gc_callback(phase: str, info: Dict[str, int]) -> None:
@@ -75,7 +82,7 @@ def _gc_callback(phase: str, info: Dict[str, int]) -> None:
         with _gc_lock:
             t0 = _gc_start.pop(ident, None)
         if t0 is not None:
-            _GC_PAUSES.observe((time.perf_counter() - t0) * 1e3)
+            _gc_pending.append((time.perf_counter() - t0) * 1e3)
 
 
 def track_gc(enable: bool = True) -> None:
@@ -89,7 +96,12 @@ def track_gc(enable: bool = True) -> None:
 
 def gc_pauses() -> StreamingHistogram:
     """The histogram :func:`track_gc` feeds (milliseconds per collection)."""
-    return _GC_PAUSES
+    while True:
+        try:
+            pause_ms = _gc_pending.popleft()
+        except IndexError:
+            return _GC_PAUSES
+        _GC_PAUSES.observe(pause_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -121,5 +133,5 @@ def collect() -> List[Row]:
             ("counter", "proc.gc.uncollectable", labels,
              float(stats.get("uncollectable", 0)))
         )
-    rows.append(("stream_hist", "proc.gc.pause_ms", (), _GC_PAUSES))
+    rows.append(("stream_hist", "proc.gc.pause_ms", (), gc_pauses()))
     return rows

@@ -11,7 +11,7 @@ cooperating beyond ``server.start()``:
 * ``/healthz`` — liveness JSON (HTTP 503 when the health callback says
   the process is unhealthy, e.g. a draining service);
 * ``/statz`` — an arbitrary JSON status document (the service wires
-  ``ServiceStats.to_dict()`` + SLO state here).
+  ``ServiceStats.to_dict()`` + worker and trace-store state here).
 
 The accept loop declares the ``obs.live.exporter.serve`` fault site; an
 injected fault is counted (``obs.live.exporter.errors``) and the loop

@@ -87,16 +87,11 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "serve.worker.restarts",
     "serve.latency_ms",
     # Live observability plane (repro.obs.live): streaming histograms,
-    # exporter, profiler, SLO burn rates.
+    # exporter.
     "obs.live.span_ms",
     "obs.live.exporter.scrapes",
     "obs.live.exporter.errors",
-    "obs.live.profiler.samples",
-    "obs.live.profiler.dropped",
     "serve.queue_wait_ms",
-    "serve.slo.burn_rate",
-    "serve.slo.firing",
-    "serve.slo.alerts",
     # More series of the service's always-on tally: scraped live from the
     # exporter; the counters are folded into the registry at close().
     "serve.submitted",
@@ -181,9 +176,7 @@ EVENT_NAMES: FrozenSet[str] = frozenset({
     "serve.breaker",
     "serve.worker.restart",
     "serve.stats",
-    "serve.slo.alert",
     "serve.explain",
-    "obs.profile",
     "evolve.batch",
     "evolve.swap",
     "evolve.rebuild",

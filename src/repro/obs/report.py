@@ -184,33 +184,6 @@ def _histogram_rows(events: List[Dict[str, Any]]) -> List[List[Any]]:
     return rows
 
 
-def _profile_rows(events: List[Dict[str, Any]]) -> List[List[Any]]:
-    """Per-span self-time table from the ``obs.profile`` journal event."""
-    profile: Optional[Dict[str, Any]] = None
-    for ev in events:
-        if ev.get("type") == "event" and ev.get("name") == "obs.profile":
-            profile = ev
-    if profile is None:
-        return []
-    self_time = profile.get("self_time") or {}
-    rows: List[List[Any]] = []
-    for label, agg in sorted(
-        self_time.items(),
-        key=lambda kv: kv[1].get("samples", 0), reverse=True,
-    ):
-        rows.append([
-            label, int(agg.get("samples", 0)),
-            f"{100.0 * float(agg.get('share', 0.0)):.1f}%",
-            round(float(agg.get("est_s", 0.0)), 3),
-        ])
-    if rows:
-        rows.append([
-            "(total)", int(profile.get("total_samples", 0)), "100.0%",
-            round(float(profile.get("duration_s", 0.0)), 3),
-        ])
-    return rows
-
-
 def _convergence_rows(
     series: Dict[str, List[Dict[str, Any]]]
 ) -> List[List[Any]]:
@@ -230,8 +203,8 @@ def report_payload(
     and HTML renderers tabulate, as one JSON-ready document.
 
     Each section mirrors its table: ``phases`` and ``quality`` carry the
-    raw :class:`RunSummary` aggregates, ``resilience``/``histograms``/
-    ``profile`` carry the rendered row tuples keyed by their headers, and
+    raw :class:`RunSummary` aggregates, ``resilience``/``histograms``
+    carry the rendered row tuples keyed by their headers, and
     ``traces`` summarizes any request-scoped traces in the journal.
     """
     from repro.obs.traceview import summarize_traces
@@ -258,10 +231,6 @@ def report_payload(
                  "p99", "max"), row,
             ))
             for row in _histogram_rows(events)
-        ],
-        "profile": [
-            dict(zip(("span", "samples", "share", "est_s"), row))
-            for row in _profile_rows(events)
         ],
         "convergence": [
             dict(zip(
@@ -308,12 +277,6 @@ def render_report(events: EventsOrPath, source: str = "") -> str:
             ["histogram", "count", "mean", "p50", "p90", "p95", "p99",
              "max"],
             hist_rows, title="Latency distributions (ms)",
-        ))
-    profile_rows = _profile_rows(events)
-    if profile_rows:
-        sections.append(_render_table(
-            ["span", "samples", "share", "est s"], profile_rows,
-            title="Profile self time",
         ))
     if series:
         sections.append(_render_table(
@@ -459,10 +422,6 @@ def render_html(
         parts += ["<h2>Latency distributions (ms)</h2>", _html_table(
             ["histogram", "count", "mean", "p50", "p90", "p95", "p99",
              "max"], hist_rows)]
-    profile_rows = _profile_rows(events)
-    if profile_rows:
-        parts += ["<h2>Profile self time</h2>", _html_table(
-            ["span", "samples", "share", "est s"], profile_rows)]
     if series:
         parts += ["<h2>Convergence</h2>", _html_table(
             ["phase", "iterations", "edges", "updates", "peak frontier"],

@@ -61,36 +61,13 @@ _records: "deque[SpanRecord]" = deque(maxlen=RECORDS_WINDOW)
 _rollup: Dict[str, Histogram] = {}
 _local = threading.local()
 
-# Every thread's open-span stack, keyed by thread ident. The sampling
-# profiler reads these from its own thread to attribute samples to the
-# innermost span; list append/pop are atomic under the GIL and a racy
-# read at worst mis-attributes the single sample at a span boundary.
-_ALL_STACKS: Dict[int, List["Span"]] = {}
-
 
 def _stack() -> List["Span"]:
     try:
         return _local.stack
     except AttributeError:
         _local.stack = []
-        _ALL_STACKS[threading.get_ident()] = _local.stack
         return _local.stack
-
-
-def open_spans() -> Dict[int, Optional[str]]:
-    """Innermost open span name per thread ident (None when stack empty).
-
-    A point-in-time racy view intended for the sampling profiler; stacks
-    of finished threads linger until process exit (bounded by the number
-    of distinct threads that ever opened a span).
-    """
-    out: Dict[int, Optional[str]] = {}
-    for ident, stack in list(_ALL_STACKS.items()):
-        try:
-            out[ident] = stack[-1].name if stack else None
-        except IndexError:  # popped between check and read
-            out[ident] = None
-    return out
 
 
 class Span:

@@ -24,10 +24,10 @@ Known sites (grep for ``fault_point`` for ground truth):
 ``engine.batch.round``, ``twophase.core.begin``,
 ``twophase.completion.begin``, ``io.load``,
 ``artifacts.read``, ``journal.close``, ``serve.worker.request``,
-``obs.live.profiler.sample``, ``obs.live.exporter.serve``,
-``graph.mutate.add``, ``graph.mutate.remove``, ``evolve.apply``,
-``evolve.rebuild``, ``evolve.swap``, ``evolve.supervisor.tick``,
-``wal.append``, ``wal.fsync``, ``wal.rotate``, ``snapshot.write``.
+``obs.live.exporter.serve``, ``graph.mutate.add``,
+``graph.mutate.remove``, ``evolve.apply``, ``evolve.rebuild``,
+``evolve.swap``, ``evolve.supervisor.tick``, ``wal.append``,
+``wal.fsync``, ``wal.rotate``, ``snapshot.write``.
 """
 
 from __future__ import annotations

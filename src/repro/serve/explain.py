@@ -8,7 +8,7 @@ ratio the Core Phase exploited, the Theorem-1 certified fraction, and the
 degraded/shed reason if any. It is built in
 :meth:`~repro.serve.service.QueryService._resolve` (the single place
 every request terminates) and is the request's one terminal record: the
-service tally, SLO sample and root span are read off it, and it is
+service tally, sampling verdict and root span are read off it, and it is
 journaled as a ``serve.explain`` event and
 attached to the request's retained trace in the
 :class:`~repro.obs.trace.TraceStore`, so ``obs explain <trace-id>``

@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.checks.sanitize import probes as san_probes
 from repro.checks.sanitize import runtime as san_runtime
@@ -46,7 +46,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
 from repro.obs import trace as obs_trace
 from repro.obs.live import prom
-from repro.obs.live.slo import SloSpec, SloTracker
 from repro.obs.spans import span
 from repro.obs.trace import TraceStore
 from repro.queries.registry import get_spec
@@ -89,10 +88,6 @@ class ServiceConfig:
     triangle: bool = False
     breaker_failure_threshold: int = 3
     breaker_cooldown_s: float = 1.0
-    #: SLO specs tracked by the service (None = :func:`default_slos`).
-    slo_specs: Optional[Sequence[SloSpec]] = None
-    #: Re-evaluate SLO burn rates every N resolved requests.
-    slo_eval_every: int = 32
     #: Tail-sampler tuning: retained-trace capacity, per-trace event cap,
     #: and the healthy-traffic head-sampling rate (1 in N).
     trace_capacity: int = 256
@@ -152,8 +147,6 @@ class QueryService:
             self._cg_edge_fraction = float(proxy.num_edges) / float(g.num_edges)
         hubs = getattr(proxy, "hubs", None)
         self._num_hubs: Optional[int] = None if hubs is None else len(hubs)
-        self.slo = SloTracker(self.config.slo_specs, clock=self._clock)
-        self._resolved_since_slo_eval = 0
         self._exporter: Optional[object] = None
         self._cond = threading.Condition()
         self._tickets: Dict[int, Ticket] = {}
@@ -408,8 +401,8 @@ class QueryService:
 
     def _account_and_finish(self, req: QueryRequest, outcome: Outcome) -> None:
         """Settle one terminal request: build its explain record once;
-        the tally, the SLO sample, the sampling verdict, the root span
-        and the journaled wide event are all read off it."""
+        the tally, the sampling verdict, the root span and the journaled
+        wide event are all read off it."""
         rec = build_explain(
             req, outcome,
             breaker_state=str(self.breaker.snapshot()["state"]),
@@ -422,16 +415,6 @@ class QueryService:
             ),
         )
         self._tally.settle(rec)
-        self.slo.record(
-            failed=rec.status == STATUS_FAILED,
-            degraded=rec.status == STATUS_DEGRADED,
-            shed=rec.shed,
-            latency_ms=(
-                rec.service_ms
-                if rec.status in (STATUS_OK, STATUS_DEGRADED) else None
-            ),
-        )
-        self._maybe_evaluate_slo()
 
         # Close the trace: the tail sampler decides retention on the
         # end-to-end latency, then the verdict is stamped back onto the
@@ -538,16 +521,6 @@ class QueryService:
                 self._cond.wait(wait)
         return True
 
-    def _maybe_evaluate_slo(self) -> None:
-        """Amortized burn-rate evaluation (every ``slo_eval_every`` resolves)."""
-        with self._cond:
-            self._resolved_since_slo_eval += 1
-            due = self._resolved_since_slo_eval >= self.config.slo_eval_every
-            if due:
-                self._resolved_since_slo_eval = 0
-        if due:
-            self.slo.evaluate()
-
     def close(self, timeout: float = 5.0) -> None:
         """Stop admitting, resolve the backlog as shutdown, stop workers."""
         with self._cond:
@@ -613,13 +586,11 @@ class QueryService:
         ]
 
     # ------------------------------------------------------------------
-    # Live observability plane (scrape exporter + SLO surfaces)
+    # Live observability plane (scrape exporter surfaces)
     # ------------------------------------------------------------------
     def statz(self) -> Dict[str, object]:
-        """The /statz document: service stats + SLO state, always on."""
-        self.slo.evaluate()
+        """The /statz document: service stats + trace store, always on."""
         doc = dict(self.stats().to_dict())
-        doc["slo"] = self.slo.statz()
         doc["workers_alive"] = self._pool.alive_count()
         doc["traces"] = {
             **self.traces.stats(),
@@ -637,7 +608,6 @@ class QueryService:
             "workers_alive": alive,
             "breaker": str(self.breaker.snapshot()["state"]),
             "queue_depth": self._queue.depth(),
-            "slo_firing": self.slo.firing(),
         }
 
     def metric_rows(self) -> List[prom.Row]:
@@ -681,14 +651,6 @@ class QueryService:
             ("gauge", "obs.trace.store.traces", (), tstats.get("traces", 0)),
             ("gauge", "obs.trace.store.events", (), tstats.get("events", 0)),
         ])
-        for state in self.slo.evaluate():
-            labels = (("slo", state.spec.name),)
-            rows.append(
-                ("gauge", "serve.slo.burn_rate", labels, state.burn_long)
-            )
-            rows.append(
-                ("gauge", "serve.slo.firing", labels, float(state.firing))
-            )
         return rows
 
     def start_exporter(self, port: int = 0, host: str = "127.0.0.1"):

@@ -1,9 +1,13 @@
 """Fault-injection plumbing: parsing, arming, firing, restoring."""
 
+import ast
+import re
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.resilience import faults
 from repro.resilience.faults import (
     ENV_VAR,
     Fault,
@@ -107,3 +111,29 @@ class TestFiring:
     def test_fault_validation(self):
         with pytest.raises(ValueError):
             Fault("s", "crash", at_hit=0)
+
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def _fault_point_sites() -> set:
+    """Every ``fault_point("...")`` string literal under ``src/repro``."""
+    sites = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            arg = node.args[0]
+            if (name == "fault_point" and isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str)):
+                sites.add(arg.value)
+    return sites
+
+
+def test_known_sites_docstring_matches_the_code():
+    # The list follows the "Known sites (...):" heading.
+    doc = faults.__doc__.split("Known sites", 1)[1].split(":", 1)[1]
+    documented = set(re.findall(r"``([a-z_.]+)``", doc))
+    assert documented == _fault_point_sites()

@@ -1,4 +1,4 @@
-"""The service's live ops plane: /metrics, /healthz, /statz, SLO wiring.
+"""The service's live ops plane: /metrics, /healthz, /statz, ``obs top``.
 
 Every scrape assertion runs against a real ``MetricsServer`` bound to an
 ephemeral port with a live ``QueryService`` behind it, and every test
@@ -8,12 +8,13 @@ closes with the chaos invariant ``lost == 0``.
 import json
 import threading
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from repro import obs
+from repro.harness.cli import main
 from repro.obs.live import prom
-from repro.obs.live.slo import SloSpec
 from repro.resilience import faults
 from repro.serve import QueryService, ServiceConfig
 
@@ -138,9 +139,6 @@ class TestStatz:
             doc = json.loads(body)
             assert doc["submitted"] == 1
             assert doc["lost"] == 0
-            assert "slo" in doc
-            names = {s["name"] for s in doc["slo"]["specs"]}
-            assert "availability" in names
         assert svc.stats().lost == 0
 
 
@@ -229,41 +227,57 @@ class TestConcurrentScrapes:
         assert svc.stats().lost == 0
 
 
-class TestSloWiring:
-    def test_healthy_traffic_burns_nothing(self, serve_graph, serve_cg):
-        with service(serve_graph, serve_cg, slo_eval_every=1) as svc:
-            for i in range(12):
-                svc.submit("SSSP", source=i % 8)
+class TestObsTop:
+    def test_once_prints_service_and_latency(
+        self, serve_graph, serve_cg, capsys
+    ):
+        with service(serve_graph, serve_cg) as svc:
+            exporter = svc.start_exporter(port=0)
+            for s in range(4):
+                svc.submit("SSSP", source=s)
             assert svc.drain(timeout=60.0)
-            states = svc.slo.evaluate()
-        by_name = {s.spec.name: s for s in states}
-        assert by_name["availability"].burn_long == 0.0
-        assert not svc.slo.firing()
+            rc = main(["obs", "top", f"127.0.0.1:{exporter.port}", "--once"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "service  submitted=4" in out
+        assert "latency  p50=" in out, out
         assert svc.stats().lost == 0
 
-    def test_availability_slo_fires_on_failing_traffic(
-        self, serve_graph, serve_cg
-    ):
-        spec = SloSpec(
-            name="availability", kind="availability", objective=0.99,
-            long_window_s=60.0, short_window_s=5.0,
-            burn_threshold=2.0, min_events=5,
-        )
-        # every execution crashes: requests exhaust retries and fail
-        faults.install(
-            "serve.worker.request", "crash", at_hit=1, repeat=True
-        )
-        with service(
-            serve_graph, serve_cg, workers=1,
-            slo_specs=[spec], slo_eval_every=1,
-        ) as svc:
-            for i in range(8):
-                svc.submit("SSSP", source=i)
-            assert svc.drain(timeout=60.0)
-            states = svc.slo.evaluate()
-        stats = svc.stats()
-        assert stats.failed >= 5
-        by_name = {s.spec.name: s for s in states}
-        assert by_name["availability"].firing
-        assert "availability" in svc.statz()["slo"]["firing"]
-        assert stats.lost == 0
+    def test_failing_statz_exits_2(self, serve_graph, serve_cg, capsys):
+        def broken():
+            raise RuntimeError("statz source down")
+
+        with service(serve_graph, serve_cg) as svc:
+            exporter = svc.start_exporter(port=0)
+            exporter._statz = broken  # the exporter answers 500
+            rc = main(["obs", "top", f"127.0.0.1:{exporter.port}", "--once"])
+        assert rc == 2
+        assert "/statz" in capsys.readouterr().err
+        assert svc.stats().lost == 0
+
+    def test_non_json_statz_exits_2(self, capsys):
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_GET(self):
+                body = b"not json" if self.path == "/statz" else b"{}"
+                if self.path == "/metrics":
+                    body = b""
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = httpd.server_address[:2]
+            rc = main(["obs", "top", f"{host}:{port}", "--once"])
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=5.0)
+        assert rc == 2
+        assert "malformed /statz" in capsys.readouterr().err
