@@ -2,8 +2,8 @@
 
 This is the workhorse evaluator used everywhere: core-graph identification
 (Algorithms 1 and 2 run queries with it), both phases of the 2Phase algorithm
-(Algorithm 3), and the Ligra/Subway/GridGraph system models (which re-drive
-the same per-iteration loop under their own cost accounting).
+(Algorithm 3), and the system models: Ligra and Subway charge their costs
+over the rounds it records, and GridGraph runs its Core Phase with it.
 
 Each round gathers the out-edges of the active frontier, computes candidate
 values with the query's ``⊕``, and applies them with a vectorized

@@ -11,7 +11,6 @@ from repro.graph.transform import (
 from repro.graph.weights import ligra_weights, uniform_weights
 from repro.graph.degree import top_degree_vertices, degree_histogram
 from repro.graph.edgelist import read_edge_list, write_edge_list
-from repro.graph.partition import partition_vertices, Partitioning
 from repro.graph.validate import validate_graph, ValidationReport
 
 __all__ = [
@@ -28,8 +27,6 @@ __all__ = [
     "degree_histogram",
     "read_edge_list",
     "write_edge_list",
-    "partition_vertices",
-    "Partitioning",
     "validate_graph",
     "ValidationReport",
 ]

@@ -1,89 +1,14 @@
-"""Subway's host-side machinery: active-subgraph generation and GPU memory.
+"""Subway's GPU memory model.
 
-Subway's core idea (EuroSys '20) is to ship only the *active* subgraph —
-the out-edges of the current frontier, compacted into a small CSR — to the
-GPU each iteration. :class:`SubgraphGenerator` performs that extraction for
-real (relabeled CSR plus the vertex map), so the simulator's GEN/TRANS
-counters measure genuine work and bytes rather than estimates.
-:class:`GpuMemoryModel` decides when shipping the whole (core) graph once
-is possible instead.
+Subway (EuroSys '20) ships only the *active* subgraph -- the out-edges of
+the current frontier, compacted on the host -- to the GPU each round.
+:class:`GpuMemoryModel` decides when a graph can instead be shipped once
+and iterated on-device.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.engines.frontier import ragged_gather
 from repro.graph.csr import Graph
-
-
-@dataclass
-class ActiveSubgraph:
-    """A compacted frontier subgraph as Subway ships it to the GPU.
-
-    ``vertices[k]`` is the original id of local vertex ``k``; ``offsets`` /
-    ``dst`` / ``weights`` form a CSR over the *local* sources with
-    destinations kept in original ids (Subway's "partial CSR").
-    """
-
-    vertices: np.ndarray
-    offsets: np.ndarray
-    dst: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def num_active(self) -> int:
-        return self.vertices.size
-
-    @property
-    def num_edges(self) -> int:
-        return self.dst.size
-
-    def nbytes(self, bytes_per_edge: int, bytes_per_vertex: int) -> int:
-        """Transfer size under the paper's accounting."""
-        return int(
-            self.num_edges * bytes_per_edge
-            + self.num_active * bytes_per_vertex
-        )
-
-
-class SubgraphGenerator:
-    """Extracts the active subgraph of a frontier from a CSR graph."""
-
-    def __init__(self, g: Graph) -> None:
-        self.g = g
-        self._weights = g.edge_weights()
-
-    def generate(
-        self, frontier: np.ndarray, blocked_dst: np.ndarray = None
-    ) -> ActiveSubgraph:
-        """Compact the out-edges of ``frontier`` (sorted, deduplicated).
-
-        ``blocked_dst`` implements the paper's ``Reduced(E)``: edges into
-        provably precise vertices are dropped at generation time, shrinking
-        both GEN work and the transferred bytes.
-        """
-        frontier = np.unique(np.asarray(frontier, dtype=np.int64))
-        edge_idx, u = ragged_gather(self.g.offsets, frontier)
-        if blocked_dst is not None and edge_idx.size:
-            keep = ~blocked_dst[self.g.dst[edge_idx]]
-            edge_idx, u = edge_idx[keep], u[keep]
-        # Per-local-vertex degrees after filtering (frontier is sorted, so
-        # searchsorted relabels each edge's source to its local id).
-        counts = np.zeros(frontier.size, dtype=np.int64)
-        if u.size:
-            local_u = np.searchsorted(frontier, u)
-            counts = np.bincount(local_u, minlength=frontier.size)
-        offsets = np.zeros(frontier.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return ActiveSubgraph(
-            vertices=frontier,
-            offsets=offsets,
-            dst=self.g.dst[edge_idx],
-            weights=self._weights[edge_idx],
-        )
 
 
 class GpuMemoryModel:

@@ -1,8 +1,8 @@
 """Cross-system consistency matrix: every simulator, every query kind,
 every proxy — identical converged values.
 
-The four system models (Subway sync/async, GridGraph, Ligra)
-are cost models over the *same* algorithm; if any of them ever disagreed on
+The three system models (Subway, GridGraph, Ligra) are cost models
+over the *same* algorithm; if any of them ever disagreed on
 values, its speedup numbers would be meaningless. This module pins that
 invariant across the full matrix.
 """
@@ -28,7 +28,6 @@ def world():
     g = ligra_weights(rmat(9, 9, seed=111), seed=112)
     sims = {
         "subway": SubwaySimulator(g),
-        "subway-async": SubwaySimulator(g, mode="async"),
         "gridgraph": GridGraphSimulator(g, p=3),
         "ligra": LigraSimulator(g),
     }
@@ -38,7 +37,7 @@ def world():
 
 
 @pytest.mark.parametrize("sim_name", (
-    "subway", "subway-async", "gridgraph", "ligra"
+    "subway", "gridgraph", "ligra"
 ))
 @pytest.mark.parametrize("spec_name", QUERIES)
 def test_baseline_values_match_engine(world, sim_name, spec_name):
@@ -50,7 +49,7 @@ def test_baseline_values_match_engine(world, sim_name, spec_name):
 
 
 @pytest.mark.parametrize("sim_name", (
-    "subway", "subway-async", "gridgraph", "ligra"
+    "subway", "gridgraph", "ligra"
 ))
 @pytest.mark.parametrize("spec_name", QUERIES)
 def test_two_phase_values_match_engine(world, sim_name, spec_name):

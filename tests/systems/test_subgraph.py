@@ -1,64 +1,14 @@
-"""Tests for Subway's subgraph generator and GPU memory model."""
+"""Tests for Subway's GPU memory model."""
 
-import numpy as np
 import pytest
 
-from repro.generators.random_graphs import random_weighted_graph, star_graph
-from repro.systems.subgraph import GpuMemoryModel, SubgraphGenerator
+from repro.generators.random_graphs import random_weighted_graph
+from repro.systems.subgraph import GpuMemoryModel
 
 
 @pytest.fixture(scope="module")
 def g():
     return random_weighted_graph(120, 900, seed=55)
-
-
-class TestSubgraphGenerator:
-    def test_covers_frontier_out_edges(self, g):
-        gen = SubgraphGenerator(g)
-        frontier = np.array([3, 10, 50])
-        sub = gen.generate(frontier)
-        expected = sum(g.out_degree(int(v)) for v in frontier)
-        assert sub.num_edges == expected
-        assert sub.num_active == 3
-        assert sub.offsets[-1] == sub.num_edges
-
-    def test_local_csr_matches_global(self, g):
-        gen = SubgraphGenerator(g)
-        frontier = np.array([7, 42])
-        sub = gen.generate(frontier)
-        for k, v in enumerate(sub.vertices):
-            lo, hi = sub.offsets[k], sub.offsets[k + 1]
-            got = sorted(sub.dst[lo:hi].tolist())
-            want = sorted(g.out_neighbors(int(v)).tolist())
-            assert got == want
-
-    def test_duplicates_removed(self, g):
-        gen = SubgraphGenerator(g)
-        a = gen.generate(np.array([5, 5, 9]))
-        b = gen.generate(np.array([5, 9]))
-        assert a.num_edges == b.num_edges
-
-    def test_blocked_dst_filtering(self, g):
-        gen = SubgraphGenerator(g)
-        frontier = np.array([3, 10])
-        blocked = np.ones(g.num_vertices, dtype=bool)
-        sub = gen.generate(frontier, blocked)
-        assert sub.num_edges == 0
-        assert sub.offsets[-1] == 0
-
-    def test_partial_blocking(self):
-        g = star_graph(5)  # 0 -> 1..4
-        gen = SubgraphGenerator(g)
-        blocked = np.zeros(5, dtype=bool)
-        blocked[1] = blocked[2] = True
-        sub = gen.generate(np.array([0]), blocked)
-        assert sub.num_edges == 2
-        assert set(sub.dst.tolist()) == {3, 4}
-
-    def test_nbytes(self, g):
-        gen = SubgraphGenerator(g)
-        sub = gen.generate(np.array([3]))
-        assert sub.nbytes(8, 8) == sub.num_edges * 8 + 8
 
 
 class TestGpuMemoryModel:
