@@ -53,6 +53,17 @@ def test_metrics_snapshot_matches_live_gauges(traced_run):
     assert snapshot[
         'quality.edges_skipped{query="SSSP"}'
     ] == result.phase2.edges_skipped
+    for phase, stats in (("twophase.core", result.phase1),
+                         ("twophase.completion", result.phase2)):
+        label = f'{{phase="{phase}"}}'
+        for metric, want in (
+            ("engine.edges_scanned", stats.edges_processed),
+            ("engine.updates", stats.updates),
+            ("engine.vertices_activated", stats.vertices_activated),
+            ("engine.edges_skipped", stats.edges_skipped),
+            ("engine.redundant_relaxations", stats.redundant_relaxations),
+        ):
+            assert snapshot[metric + label] == want, (metric, phase)
 
 
 def test_iteration_series_reproduces_per_phase_stats(traced_run):
