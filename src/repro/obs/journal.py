@@ -287,17 +287,17 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Parse a JSONL journal back into its event dicts.
 
     When ``path`` does not exist but ``<path>.partial`` does (the run was
-    killed before the closing rename), the partial stream is read instead;
-    a torn final line — the one write a crash can truncate — is dropped
+    killed before the closing rename), the partial stream is read instead.
+    A ``.partial`` stream, whether named directly or found that way, has
+    its torn final line — the one write a crash can truncate — dropped
     rather than raised.
     """
     target = Path(path)
-    tolerant = False
     if not target.exists():
         partial = target.with_name(target.name + ".partial")
         if partial.exists():
             target = partial
-            tolerant = True
+    tolerant = target.suffix == ".partial"
     events = []
     with target.open() as fh:
         for line in fh:

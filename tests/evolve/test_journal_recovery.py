@@ -56,15 +56,17 @@ class TestTornPartialJournal:
         events = read_events(path)
         assert [e.get("name") for e in events[1:]] == ["a", "b"]
 
-    def test_torn_final_line_is_dropped_not_raised(self, tmp_path):
-        path = tmp_path / "run.jsonl"
+    # A crashed run leaves only the .partial file; reading it by either
+    # name must drop the torn line.
+    @pytest.mark.parametrize("name", ["run.jsonl", "run.jsonl.partial"])
+    def test_torn_final_line_is_dropped_not_raised(self, tmp_path, name):
         partial = tmp_path / "run.jsonl.partial"
-        j = Journal(path)
+        j = Journal(tmp_path / "run.jsonl")
         j.emit({"type": "event", "name": "kept"})
         j.emit({"type": "event", "name": "torn"})
         j._fh.flush()
         partial.write_bytes(partial.read_bytes()[:-7])
-        events = read_events(path)
+        events = read_events(tmp_path / name)
         assert events[-1]["name"] == "kept"
         assert all(e.get("name") != "torn" for e in events)
 
