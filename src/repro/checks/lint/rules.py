@@ -344,9 +344,9 @@ class RC004OverbroadExcept(Rule):
 class RC005RegisteredNames(Rule):
     """A typo'd metric/span/event name silently forks a time series.
 
-    Baselines in ``repro-obs-baseline/v1`` key on exact names; an
-    unregistered name would pass every test and quietly stop feeding the
-    regression gate. Every string-literal name handed to
+    Reports and the tests that pin work counts key on exact names; an
+    unregistered name would quietly stop feeding them. Every
+    string-literal name handed to
     ``counter/gauge/histogram``, ``span``, or an ``emit({"type": "event",
     "name": ...})`` journal line must appear in
     :mod:`repro.obs.namespaces`.

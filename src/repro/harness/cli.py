@@ -21,10 +21,6 @@ tables on exit)::
 The ``obs`` family analyzes journals after the fact::
 
     repro-coregraph obs report run.jsonl --html report.html
-    repro-coregraph obs diff old.jsonl new.jsonl
-    repro-coregraph obs baseline run.jsonl --out benchmarks/baselines/x.json
-    repro-coregraph obs check run.jsonl --baseline benchmarks/baselines/ \\
-        --fail-on-regress
 """
 
 from __future__ import annotations
@@ -117,8 +113,7 @@ def _emit_graph_loaded(name: str, g) -> None:
 
     The content fingerprint also becomes ambient journal context, so
     every downstream result event is stamped with the exact graph bytes
-    it was computed on and ``obs compare`` can refuse to diff runs whose
-    "same" graph drifted between recordings.
+    it was computed on.
     """
     from repro.obs import journal as obs_journal
 
@@ -768,91 +763,6 @@ def _cmd_obs_explain(args) -> int:
     return 0
 
 
-def _cmd_obs_diff(args) -> int:
-    """Compare two journals; exit 1 when the newer run regressed."""
-    from repro.obs.compare import Thresholds, compare, regressions, summarize_run
-    from repro.obs.report import render_diff
-
-    base = summarize_run(args.journal_a, source=str(args.journal_a))
-    new = summarize_run(args.journal_b, source=str(args.journal_b))
-    deltas = compare(base, new, Thresholds.from_args(args))
-    print(render_diff(deltas, base.label() or str(args.journal_a),
-                      new.label() or str(args.journal_b)))
-    bad = regressions(deltas)
-    if bad:
-        print(f"\n{len(bad)} regression(s) beyond thresholds")
-        return 1
-    return 0
-
-
-def _cmd_obs_baseline(args) -> int:
-    """Distill a journal into a committed-baseline JSON file."""
-    from repro.obs.compare import summarize_run, write_baseline
-
-    summary = summarize_run(args.journal, source=str(args.journal))
-    path = write_baseline(summary, args.out)
-    print(f"baseline ({summary.label()}) -> {path}")
-    return 0
-
-
-def _cmd_obs_check(args) -> int:
-    """Gate a journal against a committed baseline (file or directory)."""
-    from repro.obs.compare import (
-        Thresholds, align, compare, drift_skipped, load_baselines,
-        regressions, summarize_run,
-    )
-    from repro.obs.report import render_diff, render_html
-
-    summary = summarize_run(args.journal, source=str(args.journal))
-    baselines = load_baselines(args.baseline)
-    if not baselines:
-        print(f"no baselines under {args.baseline}", file=sys.stderr)
-        return 2
-    baseline = align(summary, baselines)
-    if baseline is None:
-        drifted = drift_skipped(summary, baselines)
-        if drifted:
-            # Same experiment, different graph bytes: a comparison would
-            # report phantom regressions, so skip it loudly instead.
-            for b in drifted:
-                print(
-                    f"SKIPPED baseline {b.label()} ({b.source}): graph "
-                    f"content drifted (fingerprint "
-                    f"{b.key.get('graph_fingerprint', '?')[:12]} vs "
-                    f"{summary.key.get('graph_fingerprint', '?')[:12]}); "
-                    "re-record the baseline on the current graph",
-                    file=sys.stderr,
-                )
-            return 0
-        print(
-            f"no baseline matches run key {summary.key} "
-            f"(checked {len(baselines)} under {args.baseline})",
-            file=sys.stderr,
-        )
-        return 2
-    deltas = compare(baseline, summary, Thresholds.from_args(args))
-    print(render_diff(deltas, f"baseline:{baseline.label()}",
-                      summary.label() or str(args.journal)))
-    if args.html:
-        from repro.obs.journal import read_events
-
-        render_html(read_events(args.journal), args.html,
-                    source=str(args.journal), deltas=deltas)
-        print(f"html report -> {args.html}")
-    bad = regressions(deltas)
-    if bad:
-        print(f"\n{len(bad)} regression(s) vs {baseline.source}:")
-        for d in bad:
-            print(f"  {d.name}: {d.base:.6g} -> {d.new:.6g}"
-                  + (f" ({d.pct:+.1f}%)" if d.pct is not None else ""))
-        if args.fail_on_regress:
-            return 1
-        print("(informational: pass --fail-on-regress to gate on this)")
-    else:
-        print("\nno regressions vs baseline")
-    return 0
-
-
 def _cmd_obs_top(args) -> int:
     """Live terminal dashboard over a running exporter endpoint."""
     import json
@@ -1211,21 +1121,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="hubs for any replayed rebuild installs")
     recover_p.set_defaults(func=_cmd_evolve_recover)
 
-    # Regression thresholds shared by `obs diff` and `obs check`.
-    thresh = argparse.ArgumentParser(add_help=False)
-    thresh.add_argument(
-        "--threshold-time-pct", type=float, default=None, metavar="PCT",
-        help="phase wall-time growth counted as a regression (default 15)")
-    thresh.add_argument(
-        "--threshold-counter-pct", type=float, default=None, metavar="PCT",
-        help="work-counter growth counted as a regression (default 10)")
-    thresh.add_argument(
-        "--threshold-quality-drop", type=float, default=None, metavar="ABS",
-        help="absolute drop of a quality fraction counted as a regression "
-             "(default 0.01)")
-
     obs_p = sub.add_parser(
-        "obs", help="analyze run journals: report, diff, check, baseline")
+        "obs", help="analyze run journals: report, trace, explain, top")
     obs_sub = obs_p.add_subparsers(dest="obs_command", required=True)
 
     rep_p = obs_sub.add_parser(
@@ -1259,34 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain_p.add_argument("journal")
     explain_p.add_argument("trace_id")
     explain_p.set_defaults(func=_cmd_obs_explain)
-
-    diff_p = obs_sub.add_parser(
-        "diff", help="per-phase and per-counter deltas of two journals",
-        parents=[thresh])
-    diff_p.add_argument("journal_a", help="baseline journal")
-    diff_p.add_argument("journal_b", help="newer journal")
-    diff_p.set_defaults(func=_cmd_obs_diff)
-
-    base_p = obs_sub.add_parser(
-        "baseline", help="distill a journal into a committable baseline")
-    base_p.add_argument("journal")
-    base_p.add_argument("--out", required=True,
-                        help="baseline JSON path (e.g. benchmarks/baselines/)")
-    base_p.set_defaults(func=_cmd_obs_baseline)
-
-    check_p = obs_sub.add_parser(
-        "check", help="gate a journal against a committed baseline",
-        parents=[thresh])
-    check_p.add_argument("journal")
-    check_p.add_argument("--baseline", required=True,
-                         help="baseline file, or a directory of baselines "
-                              "matched by run key")
-    check_p.add_argument("--fail-on-regress", action="store_true",
-                         help="exit non-zero when a threshold is exceeded")
-    check_p.add_argument("--html", metavar="PATH",
-                         help="also write the HTML report with the delta "
-                              "table embedded")
-    check_p.set_defaults(func=_cmd_obs_check)
 
     top_p = obs_sub.add_parser(
         "top", help="live dashboard over a /metrics exporter endpoint")

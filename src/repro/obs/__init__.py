@@ -16,10 +16,8 @@ On top of the substrate sit the analytics layers:
 * :mod:`~repro.obs.quality` — paper-grounded quality counters (CG edge
   fraction, phase-1 precision, Theorem 1 certificates, redundant
   relaxations);
-* :mod:`~repro.obs.compare` — cross-run summaries, committed baselines,
-  and threshold-gated regression detection;
-* :mod:`~repro.obs.report` — terminal + self-contained HTML run reports
-  (the ``repro-coregraph obs`` command family drives all three).
+* :mod:`~repro.obs.report` — run summaries as terminal, self-contained
+  HTML and JSON reports (``repro-coregraph obs report``).
 
 Telemetry is disabled by default and every instrumentation point guards on
 :func:`is_enabled`, so the off path costs one flag check. Turn it on for a
@@ -39,7 +37,7 @@ from pathlib import Path
 from typing import Any, Iterator, Optional, Union
 
 from repro.obs import (
-    compare, export, journal, metrics, quality, report, runtime, spans, trace,
+    export, journal, metrics, quality, report, runtime, spans, trace,
 )
 from repro.obs.journal import Journal, build_manifest, emit, read_events
 from repro.obs.metrics import REGISTRY, counter, gauge, histogram
@@ -48,8 +46,8 @@ from repro.obs.spans import span
 from repro.obs.trace import TraceContext
 
 __all__ = [
-    "compare", "export", "journal", "metrics", "quality", "report",
-    "runtime", "spans", "trace",
+    "export", "journal", "metrics", "quality", "report", "runtime",
+    "spans", "trace",
     "Journal", "build_manifest", "emit", "read_events",
     "REGISTRY", "counter", "gauge", "histogram", "TraceContext",
     "disable", "enable", "is_enabled", "span", "telemetry", "reset",

@@ -14,8 +14,8 @@ associative :meth:`~HistogramSnapshot.merge` and
 :meth:`~HistogramSnapshot.delta` semantics: merging per-worker or per-run
 snapshots in any grouping yields the same distribution, and the delta of
 two snapshots of one histogram is the distribution of what happened in
-between — which is what lets ``obs report`` and ``obs compare`` consume
-them, and a scraper turn cumulative buckets into rates.
+between — which is what lets ``obs report`` consume them, and a scraper
+turn cumulative buckets into rates.
 
 The bucket layout is fixed by a :class:`BucketScheme` (least bound,
 growth factor, bucket count). Two histograms merge only when their

@@ -9,8 +9,8 @@ declared here, once. The catalog serves three consumers:
 * the runtime sanitizer's post-run audit
   (:func:`repro.checks.sanitize.probes.audit_metric_names`), which catches
   names constructed dynamically and therefore invisible to the linter;
-* the regression tooling (:mod:`repro.obs.compare`), whose baselines key on
-  these names and would misalign silently if a producer drifted.
+* the run report (:mod:`repro.obs.report`) and the tests that pin work
+  counts by name, which would stop seeing a series whose producer drifted.
 
 Adding an instrumentation point means adding its name here (and to the
 rule catalog table in ``docs/static-analysis.md``). That friction is the

@@ -5,8 +5,8 @@ The paper's headline claims are quantitative: the core graph holds about
 precise (Table 5), and the Theorem 1 certificates delete provably wasted
 completion-phase work (Table 12). This module names those quantities once
 and records them into the shared metrics registry / journal whenever
-telemetry is enabled, so every traced run carries the numbers a regression
-check (:mod:`repro.obs.compare`) can gate on:
+telemetry is enabled, so every traced run carries them into its report
+(:mod:`repro.obs.report`):
 
 * ``quality.cg_edge_fraction{algorithm=,query=}`` — |E_C| / |E| per build;
 * ``quality.phase1_precise_fraction{query=}`` — share of vertices whose
@@ -34,8 +34,8 @@ from repro.obs import metrics as obs_metrics
 #: Every quality metric lives under this prefix in the shared registry.
 PREFIX = "quality."
 
-#: Bare quality-metric names where a *larger* value signals a regression
-#: (a bigger core graph, more wasted work). Everything else under the
+#: Bare quality-metric names where a *larger* value is worse (a bigger
+#: core graph, more wasted work). Everything else under the
 #: prefix is higher-is-better (precision, certificates, skipped work).
 LOWER_IS_BETTER = frozenset({
     "quality.cg_edge_fraction",
@@ -44,8 +44,7 @@ LOWER_IS_BETTER = frozenset({
     "quality.redundant_relaxations",
 })
 
-#: Bare names holding fractions in [0, 1]; regression thresholds for these
-#: are absolute drops rather than percentages.
+#: Bare names holding fractions in [0, 1]; reports show them as percentages.
 FRACTIONS = frozenset({
     "quality.cg_edge_fraction",
     "quality.phase1_precise_fraction",

@@ -1,27 +1,113 @@
-"""Render run journals as terminal reports and self-contained HTML.
+"""Summarize run journals and render them as terminal, HTML and JSON reports.
 
-The terminal report (:func:`render_report`) stacks four sections: the run
-manifest, the per-phase timing breakdown, the paper-grounded quality
-counters (:mod:`repro.obs.quality`), and a per-phase convergence digest of
-the iteration stream. :func:`render_html` produces a single HTML file with
-the same tables plus inline-SVG convergence curves (frontier size and
-edges scanned per iteration) — no external assets, so the file can ride
-along as a CI artifact. :func:`render_diff` tabulates the
-:class:`~repro.obs.compare.Delta` records of a two-run comparison.
+:func:`summarize_run` reduces a journal to a :class:`RunSummary` (run key,
+per-phase wall times, flat metrics). The terminal report
+(:func:`render_report`) stacks the run manifest, the per-phase timing
+breakdown, the paper-grounded quality counters (:mod:`repro.obs.quality`)
+and a per-phase convergence digest. :func:`render_html` writes the same
+tables plus inline-SVG convergence curves as one file with no external
+assets, so it can ride along as a CI artifact; :func:`report_payload` is
+the same summary as one JSON-ready document.
 """
 
 from __future__ import annotations
 
 import html as _html
 import math
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import quality as obs_quality
-from repro.obs.compare import Delta, RunSummary, summarize_run
 from repro.obs.export import EventsOrPath, iteration_series, manifest_of
 from repro.obs.journal import iter_events
 from repro.resilience.atomic import atomic_write_text
+
+
+@dataclass
+class RunSummary:
+    """One run, reduced to its identity key, phase times and metrics."""
+
+    source: str
+    key: Dict[str, Any] = field(default_factory=dict)
+    phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    metrics: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def quality(self) -> Dict[str, float]:
+        return {
+            k: v for k, v in self.metrics.items()
+            if k.startswith(obs_quality.PREFIX)
+        }
+
+    def label(self) -> str:
+        parts = [
+            str(self.key.get(f)) for f in ("graph", "query", "source")
+            if self.key.get(f) is not None
+        ]
+        return "/".join(parts) if parts else Path(self.source).stem
+
+
+def _flatten_metrics(snapshot: Dict[str, Any]) -> Dict[str, float]:
+    """Final metrics snapshot -> flat name -> number map.
+
+    Histograms contribute ``<name>.count`` and ``<name>.sum`` (streaming
+    ones also their percentiles); everything non-numeric is dropped.
+    """
+    flat: Dict[str, float] = {}
+    for name, value in snapshot.items():
+        if isinstance(value, bool):
+            continue
+        if isinstance(value, (int, float)):
+            flat[name] = float(value)
+        elif isinstance(value, dict):
+            for part in ("count", "sum", "p50", "p90", "p95", "p99"):
+                inner = value.get(part)
+                if isinstance(inner, (int, float)):
+                    flat[f"{name}.{part}"] = float(inner)
+    return flat
+
+
+def summarize_run(events: EventsOrPath, source: str = "") -> RunSummary:
+    """Reduce a journal to its :class:`RunSummary`."""
+    events = list(iter_events(events))
+    manifest = manifest_of(events)
+    key: Dict[str, Any] = {
+        "seed": manifest.get("seed"),
+        "git_sha": manifest.get("git_sha"),
+        "graph": None,
+        "query": None,
+        "source": None,
+        "graph_fingerprint": None,
+    }
+    if isinstance(manifest.get("experiment"), str):
+        key["query"] = manifest["experiment"]
+
+    phases: Dict[str, Dict[str, float]] = {}
+    metrics: Dict[str, float] = {}
+    for event in events:
+        etype = event.get("type")
+        if etype == "span":
+            agg = phases.setdefault(
+                str(event.get("name")), {"count": 0.0, "total_s": 0.0}
+            )
+            agg["count"] += 1
+            agg["total_s"] += float(event.get("duration_s", 0.0))
+        elif etype == "metrics":
+            metrics = _flatten_metrics(event.get("metrics", {}))
+        elif etype == "event":
+            name = event.get("name")
+            if name == "graph.loaded":
+                key["graph"] = event.get("graph")
+                if event.get("graph_fingerprint") is not None:
+                    key["graph_fingerprint"] = event.get("graph_fingerprint")
+            elif name in ("twophase.result", "cg.built"):
+                key["query"] = event.get("query") or key["query"]
+                if event.get("source") is not None:
+                    key["source"] = event.get("source")
+    if not source:
+        source = str(manifest.get("journal_path") or "<events>")
+    return RunSummary(source=source, key=key, phases=phases, metrics=metrics)
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
@@ -35,10 +121,10 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
 
 def _manifest_rows(manifest: Dict[str, Any]) -> List[List[Any]]:
     rows: List[List[Any]] = []
-    for field in ("created", "git_sha", "python", "numpy", "platform",
-                  "seed", "argv", "experiment"):
-        if manifest.get(field) is not None:
-            rows.append([field, str(manifest[field])])
+    for name in ("created", "git_sha", "python", "numpy", "platform",
+                 "seed", "argv", "experiment"):
+        if manifest.get(name) is not None:
+            rows.append([name, str(manifest[name])])
     graph = manifest.get("graph")
     if isinstance(graph, dict):
         rows.append(["graph", f"|V|={graph.get('num_vertices'):,} "
@@ -286,28 +372,6 @@ def render_report(events: EventsOrPath, source: str = "") -> str:
     return "\n\n".join(sections)
 
 
-def render_diff(
-    deltas: List[Delta], base_label: str, new_label: str
-) -> str:
-    """Terminal delta table of a two-run comparison."""
-    rows = []
-    for d in deltas:
-        rows.append([
-            "REGRESS" if d.regressed else "ok",
-            d.kind,
-            d.name,
-            "-" if d.base is None else f"{d.base:.6g}",
-            "-" if d.new is None else f"{d.new:.6g}",
-            "-" if d.pct is None else f"{d.pct:+.1f}%",
-            d.note,
-        ])
-    return _render_table(
-        ["status", "kind", "metric", "base", "new", "delta", "note"],
-        rows,
-        title=f"{base_label} -> {new_label}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # HTML
 # ---------------------------------------------------------------------------
@@ -320,28 +384,21 @@ table { border-collapse: collapse; margin: .75rem 0; }
 th, td { border: 1px solid #d0d0dd; padding: .3rem .6rem; text-align: left; }
 th { background: #f0f0f7; }
 td.num { text-align: right; font-variant-numeric: tabular-nums; }
-tr.regress td { background: #ffe5e5; }
 .curve { margin: 1rem 0; }
 .curve svg { background: #fafaff; border: 1px solid #d0d0dd; }
 .legend { font-size: .85rem; color: #555; }
 """
 
 
-def _html_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
-                regress_col: Optional[int] = None) -> str:
+def _html_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     head = "".join(f"<th>{_html.escape(str(h))}</th>" for h in headers)
     body = []
     for row in rows:
-        regressed = (
-            regress_col is not None
-            and str(row[regress_col]) == "REGRESS"
-        )
         cells = []
         for cell in row:
             klass = ' class="num"' if isinstance(cell, (int, float)) else ""
             cells.append(f"<td{klass}>{_html.escape(str(cell))}</td>")
-        cls = ' class="regress"' if regressed else ""
-        body.append(f"<tr{cls}>{''.join(cells)}</tr>")
+        body.append(f"<tr>{''.join(cells)}</tr>")
     return (f"<table><thead><tr>{head}</tr></thead>"
             f"<tbody>{''.join(body)}</tbody></table>")
 
@@ -390,7 +447,6 @@ def render_html(
     events: EventsOrPath,
     out: Union[str, Path],
     source: str = "",
-    deltas: Optional[List[Delta]] = None,
 ) -> Path:
     """Write a self-contained HTML run report; returns the output path."""
     events = list(iter_events(events))
@@ -440,16 +496,6 @@ def render_html(
                 f"<div class='legend'>edges scanned per iteration</div>"
                 f"{_svg_curve(edges)}</div>"
             )
-    if deltas is not None:
-        rows = [[
-            "REGRESS" if d.regressed else "ok", d.kind, d.name,
-            "-" if d.base is None else f"{d.base:.6g}",
-            "-" if d.new is None else f"{d.new:.6g}",
-            "-" if d.pct is None else f"{d.pct:+.1f}%", d.note,
-        ] for d in deltas]
-        parts += ["<h2>Baseline comparison</h2>", _html_table(
-            ["status", "kind", "metric", "base", "new", "delta", "note"],
-            rows, regress_col=0)]
     parts.append("</body></html>")
 
     out = Path(out)

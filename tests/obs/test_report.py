@@ -1,6 +1,6 @@
-"""Terminal and HTML rendering of run journals."""
+"""Run summaries and their terminal, HTML and JSON rendering."""
 
-from repro.obs import compare, report
+from repro.obs import report
 
 EVENTS = [
     {"type": "manifest", "seed": 7, "git_sha": "a" * 40,
@@ -78,19 +78,6 @@ def test_report_payload_is_json_ready():
     assert trace_row["status"] == "ok"
 
 
-def test_render_diff_marks_regressions():
-    deltas = [
-        compare.Delta(name="phase:twophase.completion", kind="time",
-                      base=0.004, new=0.006, pct=50.0, regressed=True),
-        compare.Delta(name="engine.edges_scanned", kind="counter",
-                      base=40.0, new=40.0, pct=0.0, regressed=False),
-    ]
-    text = report.render_diff(deltas, "base.json", "run.jsonl")
-    assert "base.json -> run.jsonl" in text
-    assert "REGRESS" in text
-    assert "+50.0%" in text
-
-
 def test_render_html_self_contained(tmp_path):
     out = report.render_html(EVENTS, tmp_path / "sub" / "report.html")
     html = out.read_text()
@@ -104,11 +91,39 @@ def test_render_html_self_contained(tmp_path):
     assert "<script" not in html and "<link" not in html
 
 
-def test_render_html_embeds_delta_table(tmp_path):
-    deltas = [compare.Delta(name="phase:twophase.core", kind="time",
-                            base=0.002, new=0.004, pct=100.0,
-                            regressed=True)]
-    out = report.render_html(EVENTS, tmp_path / "r.html", deltas=deltas)
-    html = out.read_text()
-    assert "Baseline comparison" in html
-    assert 'class="regress"' in html
+def test_summarize_run_extracts_key_phases_metrics():
+    events = EVENTS[:-1] + [{"type": "metrics", "metrics": {
+        "engine.edges_skipped": 100.0,
+        "hub.duration": {"count": 2, "sum": 3.0, "mean": 1.5},
+        "telemetry.enabled": True,
+    }, "seq": 6, "t": 0.03}]
+    summary = report.summarize_run(events)
+    assert summary.key["graph"] == "PK"
+    assert summary.key["query"] == "SSSP"
+    assert summary.key["source"] == 3
+    assert summary.key["seed"] == 7
+    assert summary.phases["twophase.core"] == {"count": 1, "total_s": 0.002}
+    assert summary.metrics["engine.edges_skipped"] == 100.0
+    # histograms flatten, booleans drop
+    assert summary.metrics["hub.duration.count"] == 2.0
+    assert summary.metrics["hub.duration.sum"] == 3.0
+    assert "telemetry.enabled" not in summary.metrics
+    assert summary.source == "runs/demo.jsonl"
+    assert summary.label() == "PK/SSSP/3"
+
+
+def test_summary_quality_view():
+    summary = report.summarize_run(EVENTS)
+    assert set(summary.quality) == {
+        'quality.phase1_precise_fraction{query="SSSP"}',
+        'quality.redundant_relaxations{query="SSSP"}',
+    }
+
+
+def test_summary_key_carries_graph_fingerprint():
+    events = [dict(e) for e in EVENTS]
+    events[1]["graph_fingerprint"] = "ab" * 16
+    summary = report.summarize_run(events)
+    assert summary.key["graph_fingerprint"] == "ab" * 16
+    # Old journals without the field still summarize (key stays None).
+    assert report.summarize_run(EVENTS).key["graph_fingerprint"] is None
