@@ -127,6 +127,11 @@ def completion_blocked(
                 "triangle optimization requires hub values; build the core "
                 "graph with keep_hub_values=True"
             )
+        if spec.name != "REACH" and proxy.spec_name != spec.name:
+            raise ValueError(
+                f"triangle optimization for {spec.name} needs {spec.name}'s "
+                f"hub values; this core graph holds {proxy.spec_name}'s"
+            )
         tri = certify_precise(proxy, spec, int(source), vals)
         blocked = tri if blocked is None else (blocked | tri)
     if blocked is None:

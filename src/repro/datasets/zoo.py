@@ -76,28 +76,11 @@ def _scale_delta() -> int:
 
 
 def load_zoo_graph(name: str, scale_delta: int = None) -> Graph:
-    """Generate the named stand-in (deterministic for a given scale).
-
-    With ``REPRO_CACHE_DIR`` set, generated graphs persist under that
-    directory through :class:`~repro.io.artifacts.ArtifactCache` — writes
-    are atomic and reads are retried, so a shared (or networked) cache
-    directory survives killed runs and transient IO errors.
-    """
+    """Generate the named stand-in (deterministic for a given scale)."""
     entry = zoo_entry(name)
     delta = _scale_delta() if scale_delta is None else scale_delta
     scale = max(4, entry.scale + delta)
-
-    def _generate() -> Graph:
-        g = rmat(scale, entry.edge_factor, entry.params, seed=entry.seed)
-        if entry.weight_scheme == "ligra":
-            return ligra_weights(g, seed=entry.seed + 7)
-        return uniform_weights(g, 0.0, 1.0, seed=entry.seed + 7)
-
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    if cache_dir:
-        from repro.io.artifacts import ArtifactCache
-
-        return ArtifactCache(cache_dir).graph(
-            f"zoo-{entry.name}-s{scale}", _generate
-        )
-    return _generate()
+    g = rmat(scale, entry.edge_factor, entry.params, seed=entry.seed)
+    if entry.weight_scheme == "ligra":
+        return ligra_weights(g, seed=entry.seed + 7)
+    return uniform_weights(g, 0.0, 1.0, seed=entry.seed + 7)

@@ -41,6 +41,7 @@ harness's crash model — because the stream is flushed before the ack.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import time
@@ -293,8 +294,8 @@ def parse_fsync_policy(policy: str) -> Tuple[str, float]:
         return "group", DEFAULT_GROUP_INTERVAL_MS
     if policy.startswith("group:"):
         interval = float(policy.split(":", 1)[1])
-        if interval <= 0:
-            raise ValueError("group-commit interval must be > 0 ms")
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError("group-commit interval must be finite and > 0 ms")
         return "group", interval
     raise ValueError(
         f"unknown fsync policy {policy!r}; use always, never, or group[:N]"

@@ -15,7 +15,6 @@ identification cost only for one result to be discarded.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -75,19 +74,7 @@ def get_cg(
     key = (graph_name.upper(), target.name, num_hubs)
     with _LOCK:
         if key not in _CGS:
-            cache_dir = os.environ.get("REPRO_CACHE_DIR")
-            if cache_dir:
-                # Disk layer under the in-memory one: atomic writes + retried
-                # reads via ArtifactCache, keyed by graph shape so a
-                # REPRO_SCALE_DELTA change never serves a stale CG.
-                from repro.io.artifacts import ArtifactCache
-
-                _CGS[key] = ArtifactCache(cache_dir).core_graph(
-                    f"{key[0]}-{target.name}-h{num_hubs}-n{g.num_vertices}",
-                    lambda: build_cg(g, target, num_hubs=num_hubs),
-                )
-            else:
-                _CGS[key] = build_cg(g, target, num_hubs=num_hubs)
+            _CGS[key] = build_cg(g, target, num_hubs=num_hubs)
         return _CGS[key]
 
 

@@ -180,9 +180,16 @@ def _cmd_query(args) -> int:
               f"{reached} vertices reached")
 
     if args.cg:
+        from repro.graph.transform import edge_subgraph
         from repro.io.binary import load_core_graph
 
         cg = load_core_graph(args.cg)
+        if (len(cg.edge_mask) != g.num_edges
+                or edge_subgraph(g, cg.edge_mask) != cg.graph):
+            raise SystemExit(
+                f"core graph '{args.cg}' was not built on graph "
+                f"'{args.graph}' (its edges are not a subgraph of it)"
+            )
         budget = None
         if args.deadline is not None or args.max_iters is not None:
             budget = Budget(deadline_s=args.deadline,
@@ -860,23 +867,6 @@ def _cmd_obs_top(args) -> int:
         time.sleep(args.interval)
 
 
-def _cmd_cache(args) -> int:
-    from repro.io.artifacts import ArtifactCache
-
-    cache = ArtifactCache(args.dir)
-    if args.clear:
-        removed = cache.invalidate()
-        print(f"removed {removed} artifacts")
-        return 0
-    manifest = cache.manifest()
-    if not manifest:
-        print("cache is empty")
-        return 0
-    for name, size in manifest.items():
-        print(f"{size:>12,}  {name}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-coregraph",
@@ -938,12 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip the direct ground-truth evaluation "
                               "(only the 2phase run executes)")
     query_p.set_defaults(func=_cmd_query)
-
-    cache_p = sub.add_parser("cache", help="inspect or clear an artifact cache",
-                             parents=[tele])
-    cache_p.add_argument("dir")
-    cache_p.add_argument("--clear", action="store_true")
-    cache_p.set_defaults(func=_cmd_cache)
 
     sub.add_parser(
         "queries", help="describe the supported query kinds (Table 6)",

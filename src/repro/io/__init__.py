@@ -1,7 +1,6 @@
-"""Binary persistence for graphs and core graphs, plus an artifact cache."""
+"""Binary persistence for graphs and core graphs."""
 
 from repro.io.binary import save_graph, load_graph, save_core_graph, load_core_graph
-from repro.io.artifacts import ArtifactCache
 from repro.io.errors import CorruptGraphError
 
 __all__ = [
@@ -10,5 +9,4 @@ __all__ = [
     "load_graph",
     "save_core_graph",
     "load_core_graph",
-    "ArtifactCache",
 ]

@@ -68,10 +68,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "resilience.budget.exceeded",
     "resilience.checkpoint.saves",
     "resilience.faults.injected",
-    "resilience.retry.attempts",
-    "resilience.retry.retries",
-    "resilience.retry.failures",
-    "resilience.retry.deadline_skips",
     # Static-analysis / sanitizer layer.
     "checks.sanitize.violations",
     # Query service (repro.serve): admission, shedding, breaker, workers.

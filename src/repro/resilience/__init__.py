@@ -12,8 +12,6 @@ production-shaped one:
   budget-aborted ``two_phase`` return a usable partial result;
 * :mod:`~repro.resilience.faults` — deterministic fault injection at named
   sites (env-var or programmatic) used to prove every guard fires;
-* :mod:`~repro.resilience.retry` — exponential backoff for transient IO,
-  with attempt counters in ``obs.REGISTRY``;
 * :mod:`~repro.resilience.atomic` — temp-file + ``os.replace`` writes for
   every persisted artifact.
 """
@@ -40,7 +38,6 @@ from repro.resilience.faults import (
     InjectedIOError,
     fault_point,
 )
-from repro.resilience.retry import backoff_delays, retry_call, retrying
 
 __all__ = [
     "Budget",
@@ -61,7 +58,4 @@ __all__ = [
     "atomic_path",
     "atomic_write_bytes",
     "atomic_write_text",
-    "backoff_delays",
-    "retry_call",
-    "retrying",
 ]

@@ -149,12 +149,6 @@ class Budget:
     def elapsed_s(self) -> float:
         return 0.0 if self._t0 is None else time.perf_counter() - self._t0
 
-    def remaining_s(self) -> Optional[float]:
-        """Seconds left before the deadline, or None when unbounded."""
-        if self.deadline_s is None:
-            return None
-        return max(0.0, self.deadline_s - self.elapsed_s)
-
     def _raise(self, limit: str, site: str, observed: float,
                threshold: float) -> None:
         exc = BudgetExceeded(

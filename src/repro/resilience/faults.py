@@ -3,8 +3,8 @@
 Hot paths call :func:`fault_point` with a stable site name; when a fault is
 installed for that site the Nth hit fires it — a crash (raises
 :class:`InjectedCrash`), an IO error (raises :class:`InjectedIOError`,
-which is also an :class:`OSError` so retry policies treat it as
-transient), or a fixed delay. With nothing installed a fault point is one
+which is also an :class:`OSError` so IO error handling treats it like a
+real one), or a fixed delay. With nothing installed a fault point is one
 empty-dict check, so the hooks stay in production code permanently.
 
 Faults come from two places:
@@ -23,7 +23,7 @@ Known sites (grep for ``fault_point`` for ground truth):
 ``engine.frontier.iteration``, ``engine.scalar.pop``,
 ``engine.batch.round``, ``twophase.core.begin``,
 ``twophase.completion.begin``, ``io.load``,
-``artifacts.read``, ``journal.close``, ``serve.worker.request``,
+``journal.close``, ``serve.worker.request``,
 ``obs.live.exporter.serve``, ``graph.mutate.add``,
 ``graph.mutate.remove``, ``evolve.apply``, ``evolve.rebuild``,
 ``evolve.swap``, ``evolve.supervisor.tick``, ``wal.append``,
@@ -57,7 +57,7 @@ class InjectedCrash(InjectedFault):
 
 
 class InjectedIOError(InjectedFault, OSError):
-    """Simulates a transient IO failure (retryable: it is an OSError)."""
+    """Simulates a transient IO failure (it is an OSError)."""
 
 
 @dataclass

@@ -24,8 +24,8 @@ and answers computed on a superseded epoch carry a
 
 Thread-safety notes: 2Phase itself keeps all mutable state per-call (see
 :mod:`repro.core.twophase`); the shared caches the workers touch
-(``symmetric_view``, :mod:`repro.harness.cache`,
-:class:`~repro.io.artifacts.ArtifactCache`) are individually locked.
+(``symmetric_view``, :mod:`repro.harness.cache`) are individually
+locked.
 """
 
 from __future__ import annotations

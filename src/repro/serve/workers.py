@@ -2,11 +2,10 @@
 
 A worker dying — whether from an injected ``serve.worker.request`` fault
 or a real bug — must cost at most one retry of the in-flight request,
-never a stuck service. The supervision loop mirrors
-:func:`repro.resilience.retry.retry_call`: catch the escaped exception at
-the thread's outermost frame, report it to the service (which requeues
-the in-flight request once, or poisons it on the second death), back off
-with capped exponential delay, and start a fresh worker loop.
+never a stuck service. The supervision loop catches the escaped exception
+at the thread's outermost frame, reports it to the service (which requeues
+the in-flight request once, or poisons it on the second death), backs off
+with capped exponential delay, and starts a fresh worker loop.
 
 ``pause()``/``resume()`` freeze request consumption without stopping the
 threads — tests use this to fill the admission queue deterministically.

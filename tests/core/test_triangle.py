@@ -140,3 +140,13 @@ def test_pk_certificate_work_counts_exact(query):
         f"quality.redundant_relaxations{label}":
             want["core"][3] + want["completion"][3],
     }
+
+
+@pytest.mark.parametrize("built,asked", [
+    ("SSSP", "SSWP"), ("SSNP", "SSWP"), ("SSSP", "Viterbi"), ("SSWP", "SSSP"),
+])
+def test_certificates_refuse_another_querys_hub_values(built, asked):
+    g = load_zoo_graph("PK", scale_delta=0)
+    cg = build_cg(g, get_spec(built), num_hubs=4)
+    with pytest.raises(ValueError, match=f"{asked}.*{built}"):
+        two_phase(g, cg, get_spec(asked), 3, triangle=True)

@@ -185,7 +185,9 @@ class TestFsyncPolicies:
     def test_parse_accepts(self, policy, mode):
         assert parse_fsync_policy(policy)[0] == mode
 
-    @pytest.mark.parametrize("policy", ["", "nope", "group:0", "group:-1"])
+    @pytest.mark.parametrize("policy", [
+        "", "nope", "group:0", "group:-1", "group:nan", "group:inf",
+    ])
     def test_parse_rejects(self, policy):
         with pytest.raises(ValueError):
             parse_fsync_policy(policy)

@@ -63,6 +63,23 @@ class TestBuildAndQuery:
                      "--triangle"]) == 0
         assert "exact=True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("other", ["random", "reversed"])
+    def test_query_rejects_cg_built_on_another_graph(self, tmp_path, other):
+        from repro.generators.random_graphs import random_weighted_graph
+        from repro.harness.cache import get_graph
+        from repro.io.binary import save_graph
+
+        cg = tmp_path / "pk-sssp.npz"
+        main(["build", "PK", "SSSP", "--hubs", "4", "--out", str(cg)])
+        pk = get_graph("PK")
+        # Both have PK's vertex count; the reversed one its edge count too.
+        g = (pk.reverse() if other == "reversed" else
+             random_weighted_graph(pk.num_vertices, pk.num_edges, seed=5))
+        path = save_graph(g, tmp_path / "other.npz")
+        with pytest.raises(SystemExit, match="pk-sssp.npz"):
+            main(["query", str(path), "SSSP", "3", "--cg", str(cg),
+                  "--no-direct"])
+
     def test_query_without_cg(self, capsys):
         assert main(["query", "PK", "REACH", "3"]) == 0
         assert "direct evaluation" in capsys.readouterr().out
@@ -244,17 +261,3 @@ class TestResilienceFlags:
         out = capsys.readouterr().out
         assert "direct evaluation" not in out
         assert "2phase via CG" in out
-
-
-class TestCache:
-    def test_empty_and_clear(self, tmp_path, capsys):
-        assert main(["cache", str(tmp_path)]) == 0
-        assert "empty" in capsys.readouterr().out
-        from repro.io.artifacts import ArtifactCache
-        from repro.generators.random_graphs import path_graph
-
-        ArtifactCache(tmp_path).graph("p", lambda: path_graph(3))
-        assert main(["cache", str(tmp_path)]) == 0
-        assert "graph-p" in capsys.readouterr().out
-        assert main(["cache", str(tmp_path), "--clear"]) == 0
-        assert "removed 1" in capsys.readouterr().out

@@ -57,11 +57,6 @@ class TestBudgetObject:
         assert exc_info.value.limit == "max_frontier_bytes"
         assert exc_info.value.observed == 16
 
-    def test_remaining_s(self):
-        assert Budget().remaining_s() is None
-        b = Budget(deadline_s=60.0).start()
-        assert 0.0 < b.remaining_s() <= 60.0
-
     def test_unlimited_budget_never_fires(self, medium_graph):
         b = Budget()
         vals = evaluate_query(medium_graph, SSSP, 0, budget=b)

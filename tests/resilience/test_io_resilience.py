@@ -1,4 +1,4 @@
-"""Typed corruption errors, journal crash-safety, retried artifact reads."""
+"""Typed corruption errors, journal crash-safety, injected load faults."""
 
 import json
 
@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from repro.generators.random_graphs import random_weighted_graph
-from repro.io.artifacts import ArtifactCache
 from repro.io.binary import load_graph, save_graph
 from repro.io.errors import CorruptGraphError
 from repro.obs.journal import Journal, read_events
-from repro.resilience.faults import InjectedCrash, clear, injected, install
+from repro.resilience.faults import (
+    InjectedCrash,
+    InjectedIOError,
+    clear,
+    injected,
+    install,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -81,14 +86,16 @@ class TestJournalCrashSafety:
             read_events(path)
 
 
-class TestRetriedArtifactReads:
-    def test_transient_ioerror_is_retried(self, tmp_path, small_graph):
-        cache = ArtifactCache(tmp_path)
-        built = cache.graph("k", lambda: small_graph)  # populates the cache
-        assert built is small_graph
-        # first read attempt fails with an injected transient IO error;
-        # retry_call must recover on the second attempt
-        install("artifacts.read", "ioerror", at_hit=1)
-        g = cache.graph("k", lambda: pytest.fail("must read, not rebuild"))
-        assert g.num_edges == small_graph.num_edges
-        assert np.array_equal(g.dst, small_graph.dst)
+class TestInjectedLoadFault:
+    def test_ioerror_stays_oserror_and_next_load_succeeds(
+        self, tmp_path, small_graph
+    ):
+        path = save_graph(small_graph, tmp_path / "g.npz")
+        install("io.load", "ioerror", at_hit=1)
+        with pytest.raises(InjectedIOError) as exc_info:
+            load_graph(path)
+        # a transient IO failure is not reported as a corrupt file
+        assert isinstance(exc_info.value, OSError)
+        assert not isinstance(exc_info.value, CorruptGraphError)
+        g = load_graph(path)
+        assert g == small_graph
