@@ -14,9 +14,12 @@ is the paper's ``FirstPhase2Visit`` guarantee for the completion phase.
 
 A ``first_visit`` round whose frontier is dense (Ligra's test, see
 :data:`DENSE_DIVISOR`) -- always the Completion Phase's seed round, which
-starts from every impacted vertex -- runs as one masked sweep over the CSR
-edge arrays instead of a ragged gather; its values and counters are those
-of the sparse round. Every other round is sparse.
+starts from every impacted vertex -- does not gather. It either sweeps the
+CSR in blocks of :data:`DENSE_BLOCK_EDGES` edges, or, when ``blocked_dst``
+leaves destinations whose in-degree sum is below the frontier's out-degree
+sum, pulls over those destinations' in-edges (Ligra's direction choice).
+Both read one snapshot of the pre-round values, so their values and
+counters are those of the sparse round. Every other round is sparse.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.checks.sanitize import probes as san_probes
 from repro.checks.sanitize import runtime as san_runtime
 from repro.engines.stats import IterationInfo, RunStats
 from repro.graph.csr import Graph
-from repro.graph.transform import symmetrize
+from repro.graph.transform import reverse_edge_permutation, symmetrize
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
@@ -45,15 +48,28 @@ from repro.resilience.faults import fault_point
 #: |E| / DENSE_DIVISOR is dense (pushed as one sweep over the edge arrays).
 DENSE_DIVISOR = 20
 
+#: Edges per block of a dense round's sweep. Each block's temporaries are
+#: a few hundred kB whatever |E| is, so they stay in cache and are reused
+#: by the allocator instead of being mapped fresh every round.
+DENSE_BLOCK_EDGES = 1 << 15
+
+#: What one pulled in-edge costs against one swept out-edge: the pull
+#: reaches each edge through index gathers where the sweep reads slices
+#: (2.0-2.6x per edge on FR+1). A dense round pulls only when the unblocked
+#: destinations' in-degree sum, times this, is below the frontier's
+#: out-degree sum.
+PULL_EDGE_COST = 2
+
 _SYMMETRIC_CACHE: "WeakKeyDictionary[Graph, Graph]" = WeakKeyDictionary()
+_IN_EDGE_CACHE: "WeakKeyDictionary[Graph, np.ndarray]" = WeakKeyDictionary()
 # Single-flight guard: concurrent serve workers asking for the same
-# graph's symmetric view must not each pay (and race) the symmetrize.
-_SYMMETRIC_LOCK = threading.Lock()
+# graph's derived view must not each pay (and race) building it.
+_VIEW_LOCK = threading.Lock()
 
 
 def symmetric_view(g: Graph) -> Graph:
     """Cached symmetrized view of ``g`` (used by WCC); thread-safe."""
-    with _SYMMETRIC_LOCK:
+    with _VIEW_LOCK:
         sym = _SYMMETRIC_CACHE.get(g)
         if sym is None:
             sym = symmetrize(g)
@@ -61,6 +77,31 @@ def symmetric_view(g: Graph) -> Graph:
                 san_probes.check_symmetrized(g, sym, "engine.symmetric_view")
             _SYMMETRIC_CACHE[g] = sym
         return sym
+
+
+def in_edge_index(g: Graph) -> np.ndarray:
+    """For each edge of ``g.reverse()``, its index in ``g`` (cached).
+
+    A pull round reads edge values of ``g`` (weights) through it. Usually
+    this is :func:`reverse_edge_permutation`; when ``g`` is itself a
+    transpose, ``g.reverse()`` is the graph it came from, whose rows may be
+    in another order, so the index is matched to those rows instead.
+    Thread-safe.
+    """
+    with _VIEW_LOCK:
+        idx = _IN_EDGE_CACHE.get(g)
+        if idx is None:
+            rev = g.reverse()
+            idx = reverse_edge_permutation(g)
+            if not np.array_equal(rev.dst, g.edge_sources()[idx]):
+                # Pair the k-th edge of g sorted by (dst, src) with the
+                # k-th edge of rev sorted by (row, dst): same endpoints.
+                order = np.lexsort((rev.dst, rev.edge_sources()))
+                matched = np.empty_like(idx)
+                matched[order] = idx
+                idx = matched
+            _IN_EDGE_CACHE[g] = idx
+        return idx
 
 
 def ragged_gather(
@@ -87,28 +128,38 @@ def ragged_gather(
     return edge_idx, u_per_edge
 
 
-def _emit_iteration(info: IterationInfo) -> None:
-    """Telemetry for one push round: labeled counters + a journal event.
+def _engine_counters() -> Tuple[str, Tuple[obs_metrics.Counter, ...]]:
+    """The phase label and the six engine counters labelled with it.
 
-    The phase label is the innermost open span (``twophase.core``,
+    The phase is the innermost open span (``twophase.core``,
     ``cg.hub_query``, ...), so the same engine loop is attributed to
-    whichever caller is driving it.
+    whichever caller is driving it. Fetched once per run: the registry
+    lookup takes a lock and sorts the labels.
     """
     phase = obs_spans.current_span_name()
-    obs_metrics.counter("engine.iterations", phase=phase).inc()
-    obs_metrics.counter(
-        "engine.edges_scanned", phase=phase
-    ).inc(info.edges_scanned)
-    obs_metrics.counter("engine.updates", phase=phase).inc(info.updates)
-    obs_metrics.counter(
-        "engine.vertices_activated", phase=phase
-    ).inc(info.activated)
-    obs_metrics.counter(
-        "engine.edges_skipped", phase=phase
-    ).inc(info.edges_skipped)
-    obs_metrics.counter(
-        "engine.redundant_relaxations", phase=phase
-    ).inc(info.redundant)
+    return phase, (
+        obs_metrics.counter("engine.iterations", phase=phase),
+        obs_metrics.counter("engine.edges_scanned", phase=phase),
+        obs_metrics.counter("engine.updates", phase=phase),
+        obs_metrics.counter("engine.vertices_activated", phase=phase),
+        obs_metrics.counter("engine.edges_skipped", phase=phase),
+        obs_metrics.counter("engine.redundant_relaxations", phase=phase),
+    )
+
+
+def _emit_iteration(
+    info: IterationInfo,
+    phase: str,
+    counters: Tuple[obs_metrics.Counter, ...],
+) -> None:
+    """Telemetry for one push round: counter increments + a journal event."""
+    iterations, scanned, updates, activated, skipped, redundant = counters
+    iterations.inc()
+    scanned.inc(info.edges_scanned)
+    updates.inc(info.updates)
+    activated.inc(info.activated)
+    skipped.inc(info.edges_skipped)
+    redundant.inc(info.redundant)
     obs_journal.emit(
         {
             "type": "iteration",
@@ -125,11 +176,27 @@ def _emit_iteration(info: IterationInfo) -> None:
     )
 
 
-def _is_dense(g: Graph, frontier: np.ndarray) -> bool:
-    """Ligra's density test: frontier out-degree sum above |E| / divisor."""
+def _vertex_set(frontier: np.ndarray, n: int) -> np.ndarray:
+    """``frontier`` as sorted, duplicate-free vertex ids, in O(k + n).
+
+    A flag scatter, as Ligra and GBBS deduplicate a frontier, in place of
+    a sort. Raises ``ValueError`` naming the first id outside ``[0, n)``,
+    which the scatter would otherwise wrap (``-1`` to ``n - 1``) or fault on.
+    """
+    frontier = np.asarray(frontier, dtype=np.int64).ravel()
+    outside = (frontier < 0) | (frontier >= n)
+    if outside.any():
+        bad = int(frontier[np.argmax(outside)])
+        raise ValueError(f"frontier vertex {bad} is outside [0, {n})")
+    mask = np.zeros(n, dtype=bool)
+    mask[frontier] = True
+    return np.flatnonzero(mask)
+
+
+def _out_degree_sum(g: Graph, frontier: np.ndarray) -> int:
+    """Edges a push round over ``frontier`` gathers."""
     offsets = g.offsets
-    out_sum = int((offsets[frontier + 1] - offsets[frontier]).sum())
-    return out_sum > g.num_edges // DENSE_DIVISOR
+    return int((offsets[frontier + 1] - offsets[frontier]).sum())
 
 
 def _sparse_round(
@@ -179,58 +246,195 @@ def _sparse_round(
     return new_frontier, int(edge_idx.size), updates, skipped, redundant
 
 
+def _relax_block(
+    spec: QuerySpec,
+    vals: np.ndarray,
+    src_vals: np.ndarray,
+    old: np.ndarray,
+    w: np.ndarray,
+    v: np.ndarray,
+    scan: np.ndarray,
+    first: np.ndarray,
+    fresh: np.ndarray,
+) -> int:
+    """Relax one block of a dense round's edges; returns its updates.
+
+    Edge ``i`` runs from a vertex holding ``src_vals[i]`` to ``v[i]``,
+    which holds ``old[i]``, both read from the round's pre-round snapshot
+    as the sparse round reads them; ``w[i]`` is its weight and ``first[i]``
+    says ``v[i]`` was unvisited. Only edges with ``scan[i]`` set are the
+    round's. Improving candidates reach the reduce (no other can change
+    ``vals``), and first visits are marked in ``fresh``.
+    """
+    cand = spec.propagate(src_vals, w)
+    improving = spec.better(cand, old)
+    improving &= scan
+    first &= scan
+    if first.any():
+        fresh[v[first]] = True
+    updates = int(np.count_nonzero(improving))
+    if updates:
+        v, cand, old = v[improving], cand[improving], old[improving]
+        spec.reduce_at(vals, v, cand)
+        if san_runtime._enabled:
+            new_v = vals[v]
+            san_probes.monotone_watchdog(spec, old, new_v, "engine.frontier")
+            san_probes.check_reduce_settled(spec, cand, new_v, "engine.frontier")
+    return updates
+
+
+def _push_sweep(
+    g: Graph,
+    spec: QuerySpec,
+    vals: np.ndarray,
+    before: np.ndarray,
+    active: np.ndarray,
+    weights: np.ndarray,
+    visited: np.ndarray,
+    fresh: np.ndarray,
+    blocked_dst: Optional[np.ndarray],
+) -> Tuple[int, int]:
+    """Ligra's dense push, one CSR block of vertices at a time.
+
+    Blocks are vertex ranges holding about :data:`DENSE_BLOCK_EDGES` edges
+    (a vertex of higher degree is a block of its own); the scanned edges
+    are the frontier's out-edges into unblocked vertices. Returns
+    ``(edges_scanned, updates)``.
+    """
+    offsets, dst = g.offsets, g.dst
+    cuts = np.searchsorted(
+        offsets, np.arange(DENSE_BLOCK_EDGES, g.num_edges, DENSE_BLOCK_EDGES)
+    )
+    bounds = [0, *cuts.tolist(), g.num_vertices]
+    scanned = updates = 0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        lo, hi = int(offsets[a]), int(offsets[b])
+        if lo == hi:
+            continue
+        deg = np.diff(offsets[a:b + 1])
+        scan = np.repeat(active[a:b], deg)
+        v = dst[lo:hi]
+        if blocked_dst is not None:
+            scan &= ~blocked_dst[v]
+        count = int(np.count_nonzero(scan))
+        if not count:
+            continue
+        scanned += count
+        updates += _relax_block(
+            spec, vals, np.repeat(before[a:b], deg), before[v],
+            weights[lo:hi], v, scan, ~visited[v], fresh,
+        )
+    return scanned, updates
+
+
+def _pull_sweep(
+    g: Graph,
+    spec: QuerySpec,
+    vals: np.ndarray,
+    before: np.ndarray,
+    active: np.ndarray,
+    weights: np.ndarray,
+    visited: np.ndarray,
+    fresh: np.ndarray,
+    targets: np.ndarray,
+    in_deg: np.ndarray,
+    in_sum: int,
+) -> Tuple[int, int]:
+    """Ligra's dense pull: each target reads its in-edges from the frontier.
+
+    ``targets`` are the unblocked vertices, ``in_deg`` their in-degrees and
+    ``in_sum`` the sum of those. The scanned edges are the push sweep's --
+    frontier out-edges into unblocked vertices -- found from the other
+    end, in blocks of targets holding about :data:`DENSE_BLOCK_EDGES`
+    in-edges. Returns ``(edges_scanned, updates)``.
+    """
+    rev = g.reverse()
+    edge_of = in_edge_index(g)
+    cuts = np.searchsorted(
+        np.cumsum(in_deg), np.arange(DENSE_BLOCK_EDGES, in_sum, DENSE_BLOCK_EDGES)
+    )
+    scanned = updates = 0
+    for block, deg in zip(np.split(targets, cuts), np.split(in_deg, cuts)):
+        idx, v = ragged_gather(rev.offsets, block)
+        u = rev.dst[idx]
+        scan = active[u]
+        count = int(np.count_nonzero(scan))
+        if not count:
+            continue
+        scanned += count
+        updates += _relax_block(
+            spec, vals, before[u], np.repeat(before[block], deg),
+            weights[edge_of[idx]], v, scan, ~np.repeat(visited[block], deg),
+            fresh,
+        )
+    return scanned, updates
+
+
+def _pull_targets(
+    g: Graph, blocked_dst: np.ndarray, gathered: int
+) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+    """Ligra's direction choice for a dense round with a block.
+
+    Returns the unblocked vertices, their in-degrees and the sum of those
+    when that sum, times :data:`PULL_EDGE_COST`, is below ``gathered`` (the
+    frontier's out-degree sum), so pulling beats sweeping; else None.
+    """
+    rev_offsets = g.reverse().offsets
+    targets = np.flatnonzero(~blocked_dst)
+    in_deg = rev_offsets[targets + 1] - rev_offsets[targets]
+    in_sum = int(in_deg.sum())
+    if PULL_EDGE_COST * in_sum < gathered:
+        return targets, in_deg, in_sum
+    return None
+
+
 def _dense_round(
     g: Graph,
     spec: QuerySpec,
     vals: np.ndarray,
     frontier: np.ndarray,
+    gathered: int,
     weights: np.ndarray,
     visited: np.ndarray,
     blocked_dst: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, int, int, int, int]:
-    """A ``first_visit`` round as one sweep over the whole CSR edge arrays.
+    """A ``first_visit`` round over a dense frontier, with no edge gather.
 
-    Ligra's dense ``edgeMap``: per-edge masks replace the ragged gather.
-    Only edges that can change the round's outcome -- an improving
-    candidate or a first visit -- reach the reduce; every other edge
-    leaves both ``vals`` and the next frontier as the sparse round would,
-    so values and counters match :func:`_sparse_round` exactly.
+    ``gathered`` is the frontier's out-degree sum. The round pulls when
+    :func:`_pull_targets` says so, and sweeps the CSR otherwise. Every
+    candidate is judged against one snapshot of the pre-round values, and
+    the next frontier is every vertex that improved or was first reached,
+    so values and counters are those of :func:`_sparse_round`.
     """
     n = g.num_vertices
-    dst = g.dst
-    out_deg = np.diff(g.offsets)
+    before = vals.copy()
     active = np.zeros(n, dtype=bool)
     active[frontier] = True
-    act_e = np.repeat(active, out_deg)
-    gathered = int(out_deg[frontier].sum())
+    fresh = np.zeros(n, dtype=bool)
+    pull = None
     if blocked_dst is not None:
-        act_e &= ~blocked_dst[dst]
-    scanned = int(np.count_nonzero(act_e))
+        pull = _pull_targets(g, blocked_dst, gathered)
+    if pull is not None:
+        scanned, updates = _pull_sweep(
+            g, spec, vals, before, active, weights, visited, fresh, *pull
+        )
+    else:
+        scanned, updates = _push_sweep(
+            g, spec, vals, before, active, weights, visited, fresh,
+            blocked_dst,
+        )
     if not scanned:
         # Every gathered edge is blocked (REACH's saturated seed round).
         return np.empty(0, dtype=np.int64), 0, 0, gathered, 0
-    cand = spec.propagate(np.repeat(vals, out_deg), weights)
-    old_e = vals[dst]
-    improving = act_e & spec.better(cand, old_e)
-    updates = int(np.count_nonzero(improving))
-    keep = np.flatnonzero(improving | (act_e & ~visited[dst]))
-    v, cand, old_v = dst[keep], cand[keep], old_e[keep]
+    changed = spec.better(vals, before)
+    # One destination improved by several edges counts once here, so the
+    # difference is the sparse round's losers of the reduce race.
     redundant = 0
     if obs_runtime._enabled and updates:
-        redundant = updates - int(np.unique(v[improving[keep]]).size)
-    spec.reduce_at(vals, v, cand)
-    if san_runtime._enabled:
-        new_v = vals[v]
-        san_probes.monotone_watchdog(spec, old_v, new_v, "engine.frontier")
-        san_probes.check_reduce_settled(spec, cand, new_v, "engine.frontier")
-    changed = spec.better(vals[v], old_v)
-    fresh = ~visited[v]
-    visited[v[fresh]] = True
-    mask = np.zeros(n, dtype=bool)
-    mask[v[changed | fresh]] = True
-    return (
-        np.flatnonzero(mask), scanned, updates, gathered - scanned, redundant
-    )
+        redundant = updates - int(np.count_nonzero(changed))
+    visited |= fresh
+    new_frontier = np.flatnonzero(changed | fresh)
+    return new_frontier, scanned, updates, gathered - scanned, redundant
 
 
 def push_iterations(
@@ -272,7 +476,7 @@ def push_iterations(
     """
     if weights is None:
         weights = spec.weight_transform(g.edge_weights())
-    frontier = np.unique(np.asarray(frontier, dtype=np.int64))
+    frontier = _vertex_set(frontier, g.num_vertices)
     if first_visit and visited is None:
         raise ValueError("first_visit requires a visited array")
     if san_runtime._enabled:
@@ -281,13 +485,16 @@ def push_iterations(
             frontier, g.num_vertices, "engine.frontier"
         )
     iteration = 0
+    telemetry = None
     while frontier.size:
         fault_point("engine.frontier.iteration")
         if budget is not None:
             budget.tick("engine.frontier", frontier_bytes=frontier.nbytes)
-        if first_visit and _is_dense(g, frontier):
+        gathered = _out_degree_sum(g, frontier) if first_visit else 0
+        if gathered > g.num_edges // DENSE_DIVISOR:
             new_frontier, scanned, updates, skipped, redundant = _dense_round(
-                g, spec, vals, frontier, weights, visited, blocked_dst
+                g, spec, vals, frontier, gathered, weights, visited,
+                blocked_dst,
             )
         else:
             new_frontier, scanned, updates, skipped, redundant = _sparse_round(
@@ -309,7 +516,9 @@ def push_iterations(
             redundant=redundant,
         )
         if obs_runtime._enabled:
-            _emit_iteration(info)
+            if telemetry is None:
+                telemetry = _engine_counters()
+            _emit_iteration(info, *telemetry)
         yield info
         frontier = new_frontier
         iteration += 1

@@ -183,6 +183,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
+        # Per-graph caches (WeakKeyDictionary) compare a graph with itself
+        # on every lookup; without this that is three O(m) array compares.
+        if self is other:
+            return True
         if not np.array_equal(self.offsets, other.offsets):
             return False
         if not np.array_equal(self.dst, other.dst):

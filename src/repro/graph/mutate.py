@@ -117,7 +117,8 @@ def remove_edges(
 
     With ``strict=True``, raises :class:`EdgeNotFoundError` naming the
     first pair absent from ``g`` (default keeps the historical
-    missing-pair-is-a-noop behavior for idempotent replays).
+    missing-pair-is-a-noop behavior for idempotent replays). A pair with an
+    endpoint outside ``[0, n)`` raises :class:`MutationError` either way.
     """
     pairs = list(pairs)
     n = g.num_vertices
@@ -125,8 +126,16 @@ def remove_edges(
     if not pairs:
         return g, removed
     fault_point("graph.mutate.remove")
+    ends = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    outside = ((ends < 0) | (ends >= n)).any(axis=1)
+    if outside.any():
+        # Packed as u * n + v, (0, n) would name the edge (1, 0).
+        u, v = ends[np.argmax(outside)]
+        raise MutationError(
+            f"removed edge ({u}, {v}) has an endpoint outside [0, {n})"
+        )
     keys = _edge_keys(g)
-    doomed = np.array([u * n + v for u, v in pairs], dtype=np.int64)
+    doomed = ends[:, 0] * n + ends[:, 1]
     if strict:
         present = np.isin(doomed, keys)
         if not bool(present.all()):

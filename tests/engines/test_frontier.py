@@ -120,6 +120,23 @@ class TestEngineOptions:
             list(push_iterations(tiny_graph, SSSP, vals, np.array([0]),
                                  first_visit=True))
 
+    @pytest.mark.parametrize("bad", (-1, 5))
+    def test_frontier_ids_outside_range_raise(self, tiny_graph, bad):
+        # A flag scatter would wrap -1 onto vertex 4 instead.
+        vals = SSSP.initial_values(5, 0)
+        with pytest.raises(ValueError, match=rf"frontier vertex {bad} is outside"):
+            list(push_iterations(tiny_graph, SSSP, vals, np.array([0, bad])))
+        assert vals.tolist() == SSSP.initial_values(5, 0).tolist()
+
+    def test_frontier_is_deduplicated_and_sorted(self, tiny_graph):
+        vals = SSSP.initial_values(5, 0)
+        vals[1] = 2.0
+        infos = list(push_iterations(
+            tiny_graph, SSSP, vals, np.array([1, 0, 1]), keep_frontier=True
+        ))
+        assert infos[0].frontier.tolist() == [0, 1]
+        assert infos[0].edges_scanned == 4
+
     def test_first_visit_activates_unchanged(self):
         # 0 -> 1 -> 2; start with already-precise values: without first
         # visit, nothing propagates; with it, 1 is re-activated once.

@@ -27,6 +27,7 @@ from repro.evolve import (
 from repro.evolve.recovery import _cancel_rolled_back
 from repro.evolve.wal import WalRecord, list_segments
 from repro.generators.random_graphs import random_weighted_graph
+from repro.graph.mutate import MutationError
 from repro.io.errors import CorruptGraphError
 from repro.queries import SSSP
 
@@ -170,6 +171,17 @@ class TestRecover:
                                 num_hubs=6, attach=False)
         assert again.store.current().number == nxt.number
         assert again.store.current().fingerprint == nxt.fingerprint
+
+    def test_out_of_range_delete_is_refused_before_the_wal(self, wal_dir):
+        m = _durable_maintainer(wal_dir)
+        _apply_batches(m, 1)
+        current, logged = m.store.current(), len(read_wal(wal_dir)[0])
+        # Packed as u * n + v, (0, n) is the key of the edge (1, 0).
+        with pytest.raises(MutationError):
+            m.apply(deletes=[(0, m.graph.num_vertices)])
+        assert m.store.current() is current
+        assert len(read_wal(wal_dir)[0]) == logged
+        m.wal.close()
 
     def test_replay_is_not_rejournaled(self, wal_dir):
         m = _durable_maintainer(wal_dir)

@@ -103,6 +103,17 @@ class TestRemoveEdges:
         assert exc.value.pair == (4, 2)
         assert "(4, 2)" in str(exc.value)
 
+    @pytest.mark.parametrize("pair", [(0, 3), (2, -3), (3, -6), (-1, 4)])
+    @pytest.mark.parametrize("strict", (False, True))
+    def test_out_of_range_pair_rejected(self, pair, strict):
+        # Packed as u * 3 + v, each pair aliases an edge of g: the first
+        # three (1, 0), the last (0, 1).
+        g = from_edges([(0, 1, 1.0), (1, 0, 2.0), (1, 2, 3.0)])
+        with pytest.raises(MutationError) as exc:
+            remove_edges(g, [pair], strict=strict)
+        assert not isinstance(exc.value, EdgeNotFoundError)
+        assert f"({pair[0]}, {pair[1]})" in str(exc.value)
+
     def test_strict_accepts_present_pairs(self, tiny_graph):
         g, mask = remove_edges(tiny_graph, [(0, 1)], strict=True)
         assert not g.has_edge(0, 1)
