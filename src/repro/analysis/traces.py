@@ -44,8 +44,8 @@ class Trace:
         phase: Optional[str] = None,
         label: Optional[str] = None,
     ) -> "Trace":
-        """Series of one phase's ``iteration`` events from a telemetry
-        journal (parsed events or a ``.jsonl`` path).
+        """Series of one phase's engine rounds from a telemetry journal
+        (parsed events or a ``.jsonl`` path).
 
         ``phase`` selects by the events' span label (``twophase.core``,
         ...); ``None`` takes events emitted outside any span. ``label``

@@ -216,11 +216,7 @@ def two_phase(
     # The completion phase's output is the full-graph ground truth, so a
     # snapshot of the core-phase values is all the precision measurement
     # needs (one O(n) copy + compare, paid only while tracing).
-    phase1_snapshot = (
-        vals.copy()
-        if obs_runtime._enabled or san_runtime._enabled
-        else None
-    )
+    phase1_snapshot = vals.copy() if obs_runtime._enabled else None
 
     impacted = phase2_frontier(spec, vals)
     impacted_size = int(impacted.size)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Generator, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -147,31 +147,28 @@ def _engine_counters() -> Tuple[str, Tuple[obs_metrics.Counter, ...]]:
     )
 
 
-def _emit_iteration(
-    info: IterationInfo,
+def _report_rounds(
     phase: str,
     counters: Tuple[obs_metrics.Counter, ...],
+    rounds: List[Tuple[int, ...]],
 ) -> None:
-    """Telemetry for one push round: counter increments + a journal event."""
-    iterations, scanned, updates, activated, skipped, redundant = counters
-    iterations.inc()
-    scanned.inc(info.edges_scanned)
-    updates.inc(info.updates)
-    activated.inc(info.activated)
-    skipped.inc(info.edges_skipped)
-    redundant.inc(info.redundant)
+    """Telemetry for one run: counter totals + one ``rounds`` journal event.
+
+    ``rounds`` holds one row per round, in the order of
+    :data:`~repro.obs.journal.ROUND_COLUMNS`.
+    """
+    columns = [list(column) for column in zip(*rounds)]
+    iterations, *totals = counters
+    iterations.inc(len(rounds))
+    # The counters follow the columns after ``frontier``.
+    for counter, column in zip(totals, columns[1:]):
+        counter.inc(sum(column))
     obs_journal.emit(
         {
-            "type": "iteration",
+            "type": "rounds",
             "engine": "frontier",
             "phase": phase,
-            "iteration": info.index,
-            "frontier": info.frontier_size,
-            "edges_scanned": info.edges_scanned,
-            "updates": info.updates,
-            "activated": info.activated,
-            "edges_skipped": info.edges_skipped,
-            "redundant": info.redundant,
+            **dict(zip(obs_journal.ROUND_COLUMNS, columns)),
         }
     )
 
@@ -226,10 +223,13 @@ def _sparse_round(
     improving = spec.better(cand, old_v)
     updates = int(np.count_nonzero(improving))
     # All but one improving candidate per destination lose the reduce
-    # race; counting the losers needs a unique() so it only runs traced.
+    # race. Counting the losers takes a flag per vertex (as the dense round
+    # counts them), so it only runs traced.
     redundant = 0
     if obs_runtime._enabled and updates:
-        redundant = updates - int(np.unique(v[improving]).size)
+        hit = np.zeros(g.num_vertices, dtype=bool)
+        hit[v[improving]] = True
+        redundant = updates - int(np.count_nonzero(hit))
     spec.reduce_at(vals, v, cand)
     if san_runtime._enabled:
         san_probes.monotone_watchdog(
@@ -486,42 +486,52 @@ def push_iterations(
         )
     iteration = 0
     telemetry = None
-    while frontier.size:
-        fault_point("engine.frontier.iteration")
-        if budget is not None:
-            budget.tick("engine.frontier", frontier_bytes=frontier.nbytes)
-        gathered = _out_degree_sum(g, frontier) if first_visit else 0
-        if gathered > g.num_edges // DENSE_DIVISOR:
-            new_frontier, scanned, updates, skipped, redundant = _dense_round(
-                g, spec, vals, frontier, gathered, weights, visited,
-                blocked_dst,
+    rounds: List[Tuple[int, ...]] = []
+    try:
+        while frontier.size:
+            fault_point("engine.frontier.iteration")
+            if budget is not None:
+                budget.tick("engine.frontier", frontier_bytes=frontier.nbytes)
+            gathered = _out_degree_sum(g, frontier) if first_visit else 0
+            if gathered > g.num_edges // DENSE_DIVISOR:
+                new_frontier, scanned, updates, skipped, redundant = _dense_round(
+                    g, spec, vals, frontier, gathered, weights, visited,
+                    blocked_dst,
+                )
+            else:
+                new_frontier, scanned, updates, skipped, redundant = _sparse_round(
+                    g, spec, vals, frontier, weights, first_visit, visited,
+                    blocked_dst,
+                )
+            if san_runtime._enabled:
+                san_probes.check_frontier(
+                    new_frontier, g.num_vertices, "engine.frontier"
+                )
+            info = IterationInfo(
+                index=iteration,
+                frontier_size=int(frontier.size),
+                edges_scanned=scanned,
+                updates=updates,
+                activated=int(new_frontier.size),
+                frontier=frontier if keep_frontier else None,
+                edges_skipped=skipped,
+                redundant=redundant,
             )
-        else:
-            new_frontier, scanned, updates, skipped, redundant = _sparse_round(
-                g, spec, vals, frontier, weights, first_visit, visited,
-                blocked_dst,
-            )
-        if san_runtime._enabled:
-            san_probes.check_frontier(
-                new_frontier, g.num_vertices, "engine.frontier"
-            )
-        info = IterationInfo(
-            index=iteration,
-            frontier_size=int(frontier.size),
-            edges_scanned=scanned,
-            updates=updates,
-            activated=int(new_frontier.size),
-            frontier=frontier if keep_frontier else None,
-            edges_skipped=skipped,
-            redundant=redundant,
-        )
-        if obs_runtime._enabled:
-            if telemetry is None:
-                telemetry = _engine_counters()
-            _emit_iteration(info, *telemetry)
-        yield info
-        frontier = new_frontier
-        iteration += 1
+            if obs_runtime._enabled:
+                if telemetry is None:
+                    telemetry = _engine_counters()
+                rounds.append((
+                    info.frontier_size, scanned, updates, info.activated,
+                    skipped, redundant,
+                ))
+            yield info
+            frontier = new_frontier
+            iteration += 1
+    finally:
+        # Reported once per run, and also when a budget or a fault aborts
+        # it, so the rounds that ran are never lost.
+        if rounds:
+            _report_rounds(*telemetry, rounds)
 
 
 def run_push(

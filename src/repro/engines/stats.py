@@ -38,7 +38,8 @@ class IterationInfo:
         Improving relaxations whose written value was superseded by a
         better candidate for the same destination within the round (the
         lost-CAS stand-in). Only populated while telemetry is enabled;
-        the counter costs a ``np.unique`` the hot path otherwise skips.
+        the count costs an O(n) flag scatter per round that the hot path
+        otherwise skips.
     """
 
     index: int

@@ -17,7 +17,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.obs.journal import iter_events
+from repro.obs.journal import ROUND_COLUMNS, iter_events
 from repro.resilience.atomic import atomic_open
 
 EventsOrPath = Union[str, Path, List[Dict[str, Any]]]
@@ -66,27 +66,41 @@ def _enclosing_span(
     return best[1] if best else None
 
 
+def _expand_rounds(event: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """One dict per round of a ``rounds`` event, keyed like its columns.
+
+    Each also carries the round's ``iteration`` index and the event's
+    ``engine``, ``phase``, ``thread`` and ``t``.
+    """
+    shared = {key: event.get(key) for key in ("engine", "phase", "thread", "t")}
+    columns = [event.get(name, ()) for name in ROUND_COLUMNS]
+    return [
+        {"iteration": k, **shared, **dict(zip(ROUND_COLUMNS, row))}
+        for k, row in enumerate(zip(*columns))
+    ]
+
+
 def iteration_series(
     events: EventsOrPath,
 ) -> "OrderedDict[str, List[Dict[str, Any]]]":
-    """Per-iteration engine events grouped by phase label, in seq order.
+    """Per-round engine work grouped by phase label, in seq order.
 
-    The label is the event's recorded ``phase`` (the innermost span open on
-    the emitting thread at emission time). Events journaled without one —
-    e.g. by instrumentation layers that do not know their caller — are
-    attributed to the innermost journaled span *of their own thread* whose
-    interval contains the event, so journals that interleave concurrent
-    engines still split cleanly per phase. Events enclosed by no span get
-    the label ``"run"``.
+    Each ``rounds`` event (one per engine run) expands into one dict per
+    round. The label is the event's recorded ``phase`` (the innermost span
+    open on the emitting thread when the run began). Events journaled
+    without one are attributed to the innermost journaled span *of their
+    own thread* whose interval contains the event, so journals that
+    interleave concurrent engines still split cleanly per phase. Events
+    enclosed by no span get the label ``"run"``.
     """
     events = list(iter_events(events))
     intervals = _span_intervals(events)
     series: "OrderedDict[str, List[Dict[str, Any]]]" = OrderedDict()
     for event in events:
-        if event.get("type") != "iteration":
+        if event.get("type") != "rounds":
             continue
         label = event.get("phase") or _enclosing_span(event, intervals) or "run"
-        series.setdefault(label, []).append(event)
+        series.setdefault(label, []).extend(_expand_rounds(event))
     return series
 
 

@@ -3,7 +3,7 @@
 A journal is one file per run: the first line is a ``manifest`` event
 capturing everything needed to reproduce or compare the run (config, graph
 shape, seed, git SHA, Python/numpy versions), and every subsequent line is
-one telemetry event (``span``, ``iteration``, ``event``, ``metrics``).
+one telemetry event (``span``, ``rounds``, ``event``, ``metrics``).
 Events carry a monotonically increasing ``seq`` and an elapsed-seconds
 ``t`` so the stream is totally ordered even across threads.
 
@@ -30,6 +30,13 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.obs import trace
+
+#: The per-round columns of a ``rounds`` event, which the frontier engine
+#: emits once per run: list ``k`` of each column belongs to round ``k``.
+ROUND_COLUMNS = (
+    "frontier", "edges_scanned", "updates", "activated", "edges_skipped",
+    "redundant",
+)
 
 
 def _jsonable(value: Any) -> Any:

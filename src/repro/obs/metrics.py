@@ -3,8 +3,8 @@
 Metric identity is ``name`` plus a frozen label set, rendered Prometheus
 style: ``engine.edges_scanned{phase="core"}``. Counters accumulate, gauges
 hold the last value, histograms keep count/sum/min/max. Instrumented code
-fetches the metric object once per run and updates it per iteration, so
-the registry lookup is off the hot path.
+fetches the metric object once per run and updates it by the run's
+totals, so the registry lookup is off the hot path.
 
 The registry is always functional — whether anything feeds it is decided
 by the :mod:`repro.obs.runtime` guard at the instrumentation points.

@@ -1,7 +1,7 @@
 """Request-scoped causal tracing: propagated context + tail-based sampling.
 
 A *trace* ties every telemetry artifact a request produces — span events,
-engine iteration lines, fault fires, the final explain record — to one
+engine ``rounds`` lines, fault fires, the final explain record — to one
 ``trace_id``, across the threads the request crosses (submitter, queue,
 worker) and, via :meth:`TraceContext.to_env`, across future process
 boundaries. The design splits three concerns:

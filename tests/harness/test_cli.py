@@ -158,7 +158,7 @@ class TestTelemetry:
         assert manifest["seed"] == manifest["config"]["source_seed"]
         span_names = {e["name"] for e in events if e["type"] == "span"}
         assert {"twophase.core", "twophase.completion"} <= span_names
-        assert any(e["type"] == "iteration" for e in events)
+        assert any(e["type"] == "rounds" for e in events)
         assert any(e.get("name") == "graph.loaded" for e in events)
         assert events[-1]["type"] == "metrics"
 

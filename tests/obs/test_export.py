@@ -11,21 +11,28 @@ EVENTS = [
      "journal_path": "runs/demo.jsonl", "seq": 0, "t": 0.0},
     {"type": "span", "name": "twophase.core", "duration_s": 0.002,
      "depth": 0, "parent": None, "seq": 3, "t": 0.01},
-    {"type": "iteration", "engine": "frontier", "phase": "twophase.core",
-     "iteration": 0, "frontier": 1, "edges_scanned": 10, "updates": 4,
-     "activated": 4, "seq": 1, "t": 0.005},
-    {"type": "iteration", "engine": "frontier", "phase": "twophase.core",
-     "iteration": 1, "frontier": 4, "edges_scanned": 30, "updates": 2,
-     "activated": 2, "seq": 2, "t": 0.006},
-    {"type": "iteration", "engine": "frontier", "phase": None,
-     "iteration": 0, "frontier": 2, "edges_scanned": 7, "updates": 1,
-     "activated": 1, "seq": 4, "t": 0.02},
+    {"type": "rounds", "engine": "frontier", "phase": "twophase.core",
+     "frontier": [1, 4], "edges_scanned": [10, 30], "updates": [4, 2],
+     "activated": [4, 2], "edges_skipped": [0, 5], "redundant": [1, 0],
+     "thread": 1, "seq": 2, "t": 0.006},
+    {"type": "rounds", "engine": "frontier", "phase": None,
+     "frontier": [2], "edges_scanned": [7], "updates": [1], "activated": [1],
+     "edges_skipped": [0], "redundant": [0], "thread": 1, "seq": 4, "t": 0.02},
     {"type": "metrics", "metrics": {
         'engine.edges_scanned{phase="twophase.core"}': 40,
         "hub.duration": {"count": 2, "sum": 3.0, "min": 1.0, "max": 2.0,
                          "mean": 1.5},
     }, "seq": 5, "t": 0.03},
 ]
+
+
+def _rounds(edges, **fields):
+    """A phase-less ``rounds`` event whose rounds scanned ``edges``."""
+    k = len(edges)
+    return {"type": "rounds", "engine": "frontier", "phase": None,
+            "frontier": [1] * k, "edges_scanned": list(edges),
+            "updates": [0] * k, "activated": [0] * k,
+            "edges_skipped": [0] * k, "redundant": [0] * k, **fields}
 
 
 def test_manifest_of():
@@ -38,6 +45,20 @@ def test_iteration_series_groups_by_phase():
     assert list(series) == ["twophase.core", "run"]
     assert [e["edges_scanned"] for e in series["twophase.core"]] == [10, 30]
     assert [e["edges_scanned"] for e in series["run"]] == [7]
+
+
+def test_iteration_series_expands_rounds_with_todays_keys():
+    series = export.iteration_series(EVENTS)
+    assert series["twophase.core"] == [
+        {"iteration": 0, "engine": "frontier", "phase": "twophase.core",
+         "thread": 1, "t": 0.006, "frontier": 1, "edges_scanned": 10,
+         "updates": 4, "activated": 4, "edges_skipped": 0, "redundant": 1},
+        {"iteration": 1, "engine": "frontier", "phase": "twophase.core",
+         "thread": 1, "t": 0.006, "frontier": 4, "edges_scanned": 30,
+         "updates": 2, "activated": 2, "edges_skipped": 5, "redundant": 0},
+    ]
+    assert series["run"][0]["iteration"] == 0
+    assert series["run"][0]["phase"] is None
 
 
 def test_summary_rows_cover_spans_iterations_metrics():
@@ -83,7 +104,7 @@ def test_iteration_series_interleaved_threads_label_by_own_span():
     """Phase-less events from concurrent engines split by their thread's span.
 
     Two engines run in overlapping spans on different threads; their
-    iteration events carry no ``phase``. Each must land in the span open on
+    ``rounds`` events carry no ``phase``. Each must land in the span open on
     *its own* thread at its timestamp — not in whichever span happens to
     overlap in wall time.
     """
@@ -92,21 +113,18 @@ def test_iteration_series_interleaved_threads_label_by_own_span():
          "depth": 0, "thread": 111, "start_t": 0.01, "seq": 10, "t": 0.09},
         {"type": "span", "name": "twophase.completion", "duration_s": 0.08,
          "depth": 0, "thread": 222, "start_t": 0.02, "seq": 11, "t": 0.10},
-        # interleaved in time: 0.03 (t1), 0.04 (t2), 0.05 (t1), 0.06 (t2)
-        {"type": "iteration", "iteration": 0, "edges_scanned": 1,
-         "phase": None, "thread": 111, "seq": 1, "t": 0.03},
-        {"type": "iteration", "iteration": 0, "edges_scanned": 2,
-         "phase": None, "thread": 222, "seq": 2, "t": 0.04},
-        {"type": "iteration", "iteration": 1, "edges_scanned": 3,
-         "phase": None, "thread": 111, "seq": 3, "t": 0.05},
-        {"type": "iteration", "iteration": 1, "edges_scanned": 4,
-         "phase": None, "thread": 222, "seq": 4, "t": 0.06},
+        # interleaved in time: 0.03 (t1), 0.04 (t2), 0.05 (t1), 0.06 (t2),
+        # all inside both spans' wall-time intervals
+        _rounds([1], thread=111, seq=1, t=0.03),
+        _rounds([2], thread=222, seq=2, t=0.04),
+        _rounds([3, 6], thread=111, seq=3, t=0.05),
+        _rounds([4], thread=222, seq=4, t=0.06),
         # a third thread with no span at all -> "run"
-        {"type": "iteration", "iteration": 0, "edges_scanned": 5,
-         "phase": None, "thread": 333, "seq": 5, "t": 0.05},
+        _rounds([5], thread=333, seq=5, t=0.05),
     ]
     series = export.iteration_series(events)
-    assert [e["edges_scanned"] for e in series["twophase.core"]] == [1, 3]
+    assert [e["edges_scanned"] for e in series["twophase.core"]] == [1, 3, 6]
+    assert [e["iteration"] for e in series["twophase.core"]] == [0, 0, 1]
     assert [e["edges_scanned"] for e in series["twophase.completion"]] == [2, 4]
     assert [e["edges_scanned"] for e in series["run"]] == [5]
 
@@ -117,10 +135,8 @@ def test_iteration_series_prefers_innermost_span():
          "thread": 1, "start_t": 0.0, "seq": 10, "t": 0.10},
         {"type": "span", "name": "inner", "duration_s": 0.04, "depth": 1,
          "thread": 1, "start_t": 0.02, "seq": 11, "t": 0.06},
-        {"type": "iteration", "iteration": 0, "edges_scanned": 1,
-         "phase": None, "thread": 1, "seq": 1, "t": 0.03},  # inside both
-        {"type": "iteration", "iteration": 1, "edges_scanned": 2,
-         "phase": None, "thread": 1, "seq": 2, "t": 0.08},  # outer only
+        _rounds([1], thread=1, seq=1, t=0.03),  # inside both
+        _rounds([2], thread=1, seq=2, t=0.08),  # outer only
     ]
     series = export.iteration_series(events)
     assert [e["edges_scanned"] for e in series["inner"]] == [1]
@@ -132,8 +148,7 @@ def test_iteration_series_span_start_falls_back_to_duration():
     events = [
         {"type": "span", "name": "core", "duration_s": 0.05, "depth": 0,
          "thread": 1, "seq": 10, "t": 0.06},  # implies [0.01, 0.06]
-        {"type": "iteration", "iteration": 0, "edges_scanned": 9,
-         "phase": None, "thread": 1, "seq": 1, "t": 0.02},
+        _rounds([9], thread=1, seq=1, t=0.02),
     ]
     series = export.iteration_series(events)
     assert [e["edges_scanned"] for e in series["core"]] == [9]

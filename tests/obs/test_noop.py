@@ -43,8 +43,8 @@ def test_enabled_run_does_add_telemetry(tiny_graph, tmp_path):
     names = {e.get("name") for e in events if e["type"] == "span"}
     assert {"cg.build", "cg.hub_query", "twophase.core",
             "twophase.completion"} <= names
-    assert any(e["type"] == "iteration" for e in events)
-    phases = {e.get("phase") for e in events if e["type"] == "iteration"}
+    assert any(e["type"] == "rounds" for e in events)
+    phases = {e.get("phase") for e in events if e["type"] == "rounds"}
     assert {"cg.hub_query", "twophase.core"} <= phases
     built = [e for e in events if e.get("name") == "cg.built"]
     assert built and built[0]["algorithm"] == "weighted"

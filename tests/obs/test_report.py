@@ -10,11 +10,9 @@ EVENTS = [
      "seq": 0, "t": 0.0},
     {"type": "event", "name": "graph.loaded", "graph": "PK",
      "seq": 1, "t": 0.001},
-    {"type": "iteration", "engine": "frontier", "phase": "twophase.core",
-     "iteration": 0, "frontier": 1, "edges_scanned": 10, "updates": 4,
-     "seq": 2, "t": 0.004},
-    {"type": "iteration", "engine": "frontier", "phase": "twophase.core",
-     "iteration": 1, "frontier": 4, "edges_scanned": 30, "updates": 2,
+    {"type": "rounds", "engine": "frontier", "phase": "twophase.core",
+     "frontier": [1, 4], "edges_scanned": [10, 30], "updates": [4, 2],
+     "activated": [4, 2], "edges_skipped": [0, 0], "redundant": [0, 0],
      "seq": 3, "t": 0.006},
     {"type": "span", "name": "twophase.core", "duration_s": 0.002,
      "depth": 0, "seq": 4, "t": 0.01},
@@ -73,6 +71,10 @@ def test_report_payload_is_json_ready():
     assert payload["phases"]["twophase.core"]["total_s"] == 0.002
     assert payload["quality"]
     assert payload["metrics"]["engine.edges_scanned"] == 40
+    assert payload["convergence"] == [
+        {"phase": "twophase.core", "iterations": 2, "edges": 40,
+         "updates": 6, "peak_frontier": 4},
+    ]
     (trace_row,) = payload["traces"]
     assert trace_row["trace"] == "tZ"
     assert trace_row["status"] == "ok"
