@@ -15,8 +15,8 @@ builds the facts the analysis passes consume:
   events (``pin()`` uses, bare ``acquire``/``release``, budget claims).
 
 The walker is flow-sensitive for ``with`` blocks (the held set is exact
-per statement) and tracks local aliases (``ev = self._ev``) through the
-constructor-derived field types, so chains like
+per statement) and tracks local aliases (``store = self.store``) through
+the constructor-derived field types, so chains like
 ``self._service._queue.pop()`` resolve to real call edges. Module-level
 functions are deliberately *not* modeled: they run on whichever thread
 called them with whatever locking that caller chose, and attributing

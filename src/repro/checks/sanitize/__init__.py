@@ -14,7 +14,7 @@ Probe catalog (see :mod:`repro.checks.sanitize.probes`):
 ``check_symmetrized``     symmetric view doubles edges over the same V
 ``monotone_watchdog``     accepted updates move in the selection direction
 ``check_reduce_settled``  no reduced candidate still beats its destination
-``check_cg_containment``  CG edges are a verbatim subset of G's (Alg. 1)
+``check_cg_containment``  edge_mask marks exactly the CG's (u, v, w) in G
 ``audit_certified_fixed_point``  Theorem 1 certificates hold at sampled v
 ``audit_metric_names``    live registry names are all registered
 ========================  ==================================================

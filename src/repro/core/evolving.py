@@ -13,18 +13,20 @@ graphs; this module works out what evolution means for core graphs:
 * **Theorem 1 certificates survive neither direction.** The hub values
   they compare against were computed on the build-time graph; insertions
   can improve true values below a stale bound and deletions can invalidate
-  the hub values themselves, so the maintainer disables the triangle
-  optimization after *any* churn until the next rebuild (see
-  ``docs/theory.md``).
+  the hub values themselves, so *any* churn disables the triangle
+  optimization until the next rebuild (see ``docs/theory.md``).
 
-:class:`EvolvingCoreGraph` applies both rules, tracks staleness, and
-rebuilds when a sampled precision probe drops below a threshold.
+A batch is therefore a pure function of ``(graph, cg, triangle_safe)``:
+:func:`advance` applies both rules, :func:`rebase` fits a proxy built on an
+older graph to the current one, and :func:`probe_precision` samples the
+proxy's quality. :class:`EvolvingCoreGraph` is a thin stateful shell over
+them that tracks churn and rebuilds when a probe drops below a threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +36,14 @@ from repro.core.precision import measure_precision
 from repro.core.twophase import TwoPhaseResult, two_phase
 from repro.graph.csr import Graph
 from repro.graph.mutate import add_edges, remove_edges
+from repro.graph.transform import edge_subgraph
 from repro.queries.base import QuerySpec
+
+#: Sources a precision probe samples, and the seed that picks them.
+PROBE_SOURCES = 3
+PROBE_SEED = 7
+#: Default probe precision (%) below which the CG is rebuilt.
+REBUILD_BELOW_PRECISION = 95.0
 
 
 def _membership_mask(g: Graph, sub: Graph) -> np.ndarray:
@@ -70,6 +79,94 @@ def _membership_mask(g: Graph, sub: Graph) -> np.ndarray:
     return mask
 
 
+class Advance(NamedTuple):
+    """The state after one batch; ``deleted`` counts full-graph edges
+    the batch removed."""
+
+    graph: Graph
+    cg: CoreGraph
+    triangle_safe: bool
+    deleted: int
+
+
+def advance(graph: Graph, cg: CoreGraph, triangle_safe: bool,
+            inserts: Iterable = (),
+            deletes: Iterable[Tuple[int, int]] = ()) -> Advance:
+    """One batch, ``inserts`` then ``deletes`` (WAL replay relies on that
+    order), under the rules above: the CG loses every copy of a deleted
+    pair, and any non-empty batch turns ``triangle_safe`` off. A step
+    that changes the graph re-indexes its CSR edge arrays, so the CG's
+    mask is then recomputed as membership of the surviving CG edges.
+    """
+    inserts = list(inserts)
+    deletes = list(deletes)
+    # Each step leaves a consistent (graph, cg) pair. One realign per
+    # batch instead of per step halves a batch's cost; ROADMAP item 1(0)
+    # says why that waits.
+    if inserts:
+        graph = add_edges(graph, inserts)
+        cg = _realigned(graph, cg.graph, cg)
+    graph, removed = remove_edges(graph, deletes)
+    cg_graph, removed_cg = remove_edges(cg.graph, deletes)
+    if removed.any() or removed_cg.any():
+        cg = _realigned(graph, cg_graph, cg)
+    return Advance(
+        graph, cg, triangle_safe and not (inserts or deletes),
+        int(removed.sum()),
+    )
+
+
+def _realigned(graph: Graph, cg_graph: Graph, cg: CoreGraph) -> CoreGraph:
+    """``cg`` rebound to ``cg_graph`` (a subgraph of ``graph``), with its
+    mask recomputed over ``graph``'s edge array."""
+    return CoreGraph(
+        graph=cg_graph,
+        edge_mask=_membership_mask(graph, cg_graph),
+        spec_name=cg.spec_name,
+        hubs=cg.hubs,
+        hub_data=cg.hub_data,
+        connectivity_edges=cg.connectivity_edges,
+        source_num_edges=graph.num_edges,
+    )
+
+
+def rebase(current: Graph, proxy: CoreGraph) -> CoreGraph:
+    """Fit a proxy built on an older graph to ``current``.
+
+    One weighted multiset join: the CG keeps exactly the ``(u, v, w)``
+    edges of ``proxy`` that ``current`` still holds (a pair deleted and
+    re-inserted at another weight is gone), so the result is a subgraph
+    of ``current`` by construction. Hub values are stale either way, so
+    they are discarded.
+    """
+    mask = _membership_mask(current, proxy.graph)
+    return CoreGraph(
+        graph=edge_subgraph(current, mask),
+        edge_mask=mask,
+        spec_name=proxy.spec_name,
+        hubs=proxy.hubs,
+        hub_data=[],
+        connectivity_edges=proxy.connectivity_edges,
+        source_num_edges=current.num_edges,
+    )
+
+
+def probe_precision(graph: Graph, cg: CoreGraph, spec: QuerySpec,
+                    sources: Optional[Sequence[int]] = None) -> float:
+    """Sampled core-phase precision (%) of ``cg`` on ``graph``; without
+    ``sources``, :data:`PROBE_SOURCES` vertices with out-edges are drawn
+    with :data:`PROBE_SEED`, so equal inputs give equal readings."""
+    if sources is None:
+        rng = np.random.default_rng(PROBE_SEED)
+        candidates = np.flatnonzero(graph.out_degree() > 0)
+        if candidates.size == 0:
+            return 100.0
+        k = min(PROBE_SOURCES, candidates.size)
+        sources = rng.choice(candidates, k, replace=False)
+    report = measure_precision(graph, cg, spec, [int(s) for s in sources])
+    return report.pct_precise
+
+
 @dataclass
 class MaintenanceStats:
     """Churn bookkeeping since the last (re)build."""
@@ -81,90 +178,48 @@ class MaintenanceStats:
 
 
 class EvolvingCoreGraph:
-    """A (graph, core graph) pair that absorbs edge churn safely."""
+    """A (graph, core graph) pair that absorbs edge churn safely: a
+    stateful shell over :func:`advance` and :func:`probe_precision`."""
 
     def __init__(
         self,
         g: Graph,
         spec: QuerySpec,
         num_hubs: int = 20,
-        rebuild_below_precision: float = 95.0,
-        probe_sources: int = 3,
-        probe_seed: int = 7,
+        rebuild_below_precision: float = REBUILD_BELOW_PRECISION,
         cg: Optional[CoreGraph] = None,
-        triangle_safe: bool = True,
     ) -> None:
         self.spec = spec
         self.num_hubs = num_hubs
         self.rebuild_below_precision = rebuild_below_precision
-        self.probe_sources = probe_sources
-        self.probe_seed = probe_seed
         self.graph = g
-        # ``cg`` (with ``triangle_safe``: do its hub values still describe
-        # ``g``?) lets recovery resume a persisted pair without re-running
-        # Algorithm 1/2; fresh construction identifies the CG from scratch.
+        # ``cg``, a CG already identified on ``g``, skips Algorithm 1/2.
         self.cg: CoreGraph = (
             cg if cg is not None else build_cg(g, spec, num_hubs=num_hubs)
         )
         self.stats = MaintenanceStats()
-        self._triangle_safe = triangle_safe
-
-    @property
-    def triangle_safe(self) -> bool:
-        """Whether Theorem-1 certificates are currently sound (no churn
-        since the last build/rebuild)."""
-        return self._triangle_safe
+        #: Whether Theorem-1 certificates are sound (no churn since the
+        #: last build/rebuild).
+        self.triangle_safe = True
 
     # ------------------------------------------------------------------
     # Churn
     # ------------------------------------------------------------------
     def insert_edges(self, edges: Iterable) -> None:
-        """Grow the full graph; the CG keeps its edges (still a subgraph).
-
-        Exactness of 2Phase answers is unaffected, but Theorem 1
-        certificates become unsound: a new edge can improve true values
-        below a bound computed from the build-time hub values (e.g. a
-        fresh shortcut toward a hub shrinks ``B[s]`` while the stored one
-        doesn't), so the triangle pass is disabled until the next rebuild.
-        """
+        """Grow the full graph; the CG keeps its edges (see :func:`advance`)."""
         edges = list(edges)
-        self.graph = add_edges(self.graph, edges)
+        self._advance(edges, ())
         self.stats.inserted_edges += len(edges)
-        if edges:
-            self._realign_mask(self.cg.graph)
-            self._triangle_safe = False
 
     def delete_edges(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Shrink the full graph AND the CG (the ``CG ⊆ G`` invariant).
+        """Shrink the full graph AND the CG (see :func:`advance`)."""
+        self.stats.deleted_edges += self._advance((), pairs)
 
-        Hub values become stale, so Theorem 1 certificates are disabled
-        until the next rebuild.
-        """
-        pairs = list(pairs)
-        self.graph, removed_full = remove_edges(self.graph, pairs)
-        cg_graph, removed_cg = remove_edges(self.cg.graph, pairs)
-        if removed_full.any() or removed_cg.any():
-            self._realign_mask(cg_graph)
-        self.stats.deleted_edges += int(removed_full.sum())
-        if pairs:
-            self._triangle_safe = False
-
-    def _realign_mask(self, cg_graph: Graph) -> None:
-        """Rebind the CG to the current graph with a freshly computed mask.
-
-        ``add_edges``/``remove_edges`` re-index the CSR edge arrays, so
-        the build-time ``edge_mask`` no longer addresses this graph's
-        edges; recompute it as membership of the surviving CG edges.
-        """
-        self.cg = CoreGraph(
-            graph=cg_graph,
-            edge_mask=_membership_mask(self.graph, cg_graph),
-            spec_name=self.cg.spec_name,
-            hubs=self.cg.hubs,
-            hub_data=self.cg.hub_data,
-            connectivity_edges=self.cg.connectivity_edges,
-            source_num_edges=self.graph.num_edges,
+    def _advance(self, inserts: Iterable, deletes: Iterable) -> int:
+        self.graph, self.cg, self.triangle_safe, deleted = advance(
+            self.graph, self.cg, self.triangle_safe, inserts, deletes
         )
+        return deleted
 
     # ------------------------------------------------------------------
     # Queries
@@ -173,7 +228,7 @@ class EvolvingCoreGraph:
         self, source: Optional[int] = None, triangle: bool = False
     ) -> TwoPhaseResult:
         """Exact 2Phase evaluation on the current graph."""
-        use_triangle = triangle and self._triangle_safe
+        use_triangle = triangle and self.triangle_safe
         return two_phase(
             self.graph, self.cg, self.spec, source, triangle=use_triangle
         )
@@ -183,18 +238,9 @@ class EvolvingCoreGraph:
     # ------------------------------------------------------------------
     def probe_precision(self, sources: Optional[Sequence[int]] = None) -> float:
         """Sampled core-phase precision on the current graph."""
-        if sources is None:
-            rng = np.random.default_rng(self.probe_seed)
-            candidates = np.flatnonzero(self.graph.out_degree() > 0)
-            if candidates.size == 0:
-                return 100.0
-            k = min(self.probe_sources, candidates.size)
-            sources = rng.choice(candidates, k, replace=False)
-        report = measure_precision(
-            self.graph, self.cg, self.spec, [int(s) for s in sources]
-        )
-        self.stats.last_probe_precision = report.pct_precise
-        return report.pct_precise
+        pct = probe_precision(self.graph, self.cg, self.spec, sources)
+        self.stats.last_probe_precision = pct
+        return pct
 
     def maybe_rebuild(self) -> bool:
         """Probe quality; rebuild the CG when it fell below the threshold.
@@ -213,24 +259,12 @@ class EvolvingCoreGraph:
         queries; ``progress(done, total)`` is invoked after each hub so a
         supervised rebuilder can checkpoint between hubs.
         """
-        self.adopt(
-            build_cg(
-                self.graph, self.spec, num_hubs=self.num_hubs,
-                budget=budget, progress=progress,
-            ),
-            triangle_safe=True,
+        self.cg = build_cg(
+            self.graph, self.spec, num_hubs=self.num_hubs,
+            budget=budget, progress=progress,
         )
-
-    def adopt(self, cg: CoreGraph, triangle_safe: bool) -> None:
-        """Replace the proxy with ``cg``, a rebuild's result.
-
-        ``cg`` must be a subgraph of the current graph with its mask over
-        this graph's edge array; ``triangle_safe`` says whether its hub
-        values were computed on exactly this graph.
-        """
-        self.cg = cg
         self.stats.rebuilds += 1
-        self._triangle_safe = triangle_safe
+        self.triangle_safe = True
 
     def __repr__(self) -> str:
         return (

@@ -9,10 +9,10 @@ background:
 * :mod:`repro.evolve.epoch` — immutable, version-stamped ``(Graph, CG)``
   pairs with an atomic swap and request-lifetime pinning, so a query can
   never observe a torn pair;
-* :mod:`repro.evolve.maintainer` — applies mutation batches under the
-  :class:`~repro.core.evolving.EvolvingCoreGraph` correctness rules and
-  publishes each result as a new epoch (all-or-nothing: a crash mid-apply
-  leaves the old epoch current);
+* :mod:`repro.evolve.maintainer` — computes each next epoch from the
+  current one with :func:`~repro.core.evolving.advance` and publishes it
+  (all-or-nothing: nothing is mutated before the swap, so a crash
+  mid-apply leaves the old epoch current);
 * :mod:`repro.evolve.certificate` — the staleness certificate attached to
   answers computed on a no-longer-latest epoch;
 * :mod:`repro.evolve.rebuild` — a supervised background rebuilder running

@@ -1,16 +1,18 @@
 """The single writer: apply mutation batches, publish epochs, rebuild.
 
-Correctness comes from :class:`~repro.core.evolving.EvolvingCoreGraph`
-(inserts keep the CG a subgraph; deletes drop CG edges; Theorem-1
-certificates die on any churn). This module adds the serving discipline:
+Correctness comes from :func:`~repro.core.evolving.advance` (inserts keep
+the CG a subgraph; deletes drop CG edges; Theorem-1 certificates die on
+any churn). The published epoch is the only state: each transition reads
+``store.current()``, computes the next immutable :class:`Epoch` and
+publishes it. This module adds the serving discipline:
 
-* **all-or-nothing application** — the maintainer snapshots the evolving
-  state before touching it and restores it on any failure (including the
-  ``evolve.apply`` injected crash), so a half-applied batch can never
+* **all-or-nothing application** — nothing is mutated before the swap,
+  so a failure anywhere (including the ``evolve.apply`` injected crash)
+  leaves the previous epoch current and a half-applied batch can never
   become an epoch;
-* **epoch publication** — each successful batch or rebuild is published
-  through :meth:`EpochStore.swap`, whose own fault point fires before
-  visibility;
+* **epoch publication** — each transition is logged (when a WAL is
+  attached) and then published through :meth:`EpochStore.swap`, whose
+  own fault point fires before visibility;
 * **non-blocking rebuilds** — Algorithm 1/2 runs against an immutable
   graph snapshot *outside* the writer lock; installation rebases the new
   CG onto whatever the graph has become (keeping exactly the
@@ -28,13 +30,20 @@ import threading
 from dataclasses import replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
+from repro.checks.sanitize import probes as san_probes
+from repro.checks.sanitize import runtime as san_runtime
 from repro.core.coregraph import CoreGraph
-from repro.core.evolving import EvolvingCoreGraph, _membership_mask
+from repro.core.dispatch import build_cg
+from repro.core.evolving import (
+    REBUILD_BELOW_PRECISION,
+    advance,
+    probe_precision,
+    rebase,
+)
 from repro.evolve.epoch import Epoch, EpochStore, make_epoch
 from repro.evolve.snapshot import SnapshotStore
 from repro.evolve.wal import WalError, WalWriter
 from repro.graph.csr import Graph
-from repro.graph.transform import edge_subgraph
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
@@ -44,11 +53,11 @@ from repro.resilience.faults import fault_point
 
 
 class EpochMaintainer:
-    """Owns the mutable evolving state; everything it publishes is frozen.
+    """The single writer of an :class:`EpochStore`.
 
     Construction builds the initial core graph and publishes epoch 0.
-    ``apply`` and ``install_rebuild`` are serialized by the writer lock;
-    readers only ever touch the :class:`EpochStore`.
+    ``apply``, ``probe`` and ``install_rebuild`` are serialized by the
+    writer lock; readers only ever touch the store.
     """
 
     def __init__(
@@ -63,6 +72,7 @@ class EpochMaintainer:
         _resume: Optional[Epoch] = None,
     ) -> None:
         self.spec = spec
+        self.num_hubs = num_hubs
         self._lock = threading.Lock()
         self.wal: Optional[WalWriter] = None
         self.snapshots: Optional[SnapshotStore] = None
@@ -72,17 +82,10 @@ class EpochMaintainer:
             # attached *after* the tail replay (see attach_wal), so
             # replayed records are never re-journaled.
             initial = _resume
-            self._ev = EvolvingCoreGraph(
-                initial.graph,
-                spec,
-                num_hubs=num_hubs,
-                cg=initial.proxy,
-                triangle_safe=initial.triangle_safe,
-            )
         else:
-            self._ev = EvolvingCoreGraph(g, spec, num_hubs=num_hubs)
-            initial = make_epoch(0, self._ev.graph, self._ev.cg)
+            initial = make_epoch(0, g, build_cg(g, spec, num_hubs=num_hubs))
         self._batches = 0
+        self._rebuilds = 0
         self.store = EpochStore(initial)
         obs_journal.set_global_context(
             graph_epoch=initial.number,
@@ -153,8 +156,8 @@ class EpochMaintainer:
         """Apply one batch and publish the result as the next epoch.
 
         All-or-nothing: any failure (typed mutation error, injected
-        crash, swap abort) restores the pre-batch state and re-raises;
-        the previously current epoch stays published.
+        crash, swap abort) re-raises before the swap, so the previously
+        current epoch stays published.
 
         **Acknowledgement contract** (when a WAL is attached): the batch
         record is durably appended *before* the epoch swap, and this
@@ -169,65 +172,44 @@ class EpochMaintainer:
         inserts = list(inserts)
         deletes = list(deletes)
         with self._lock:
-            ev = self._ev
-            saved = (
-                ev.graph, ev.cg, ev._triangle_safe,
-                ev.stats.inserted_edges, ev.stats.deleted_edges,
-            )
             base = self.store.current()
             number = self._successor(base, logged)
-            journaled = False
-            try:
-                with span("evolve.apply", epoch=number,
-                          inserts=len(inserts), deletes=len(deletes)):
-                    if inserts:
-                        ev.insert_edges(inserts)
-                    # Deliberately inside the writer lock: the chaos
-                    # model kills mid-batch, and the except-branch below
-                    # must restore state before anyone else writes.
-                    fault_point("evolve.apply")  # repro: noqa RC104 — chaos site
-                    if deletes:
-                        ev.delete_edges(deletes)
-                    deleted_now = (
-                        ev.stats.deleted_edges - saved[4]
-                    )
-                    epoch = make_epoch(
-                        number,
-                        ev.graph,
-                        ev.cg,
-                        triangle_safe=ev.triangle_safe,
-                        inserted_edges=base.inserted_edges + len(inserts),
-                        deleted_edges=base.deleted_edges + deleted_now,
-                        probe_precision=base.probe_precision,
-                        rebuilt_from=base.rebuilt_from,
-                    )
-                    if self.wal is not None:
-                        self.wal.append(
-                            "batch", epoch.number,
-                            fingerprint=epoch.fingerprint,
-                            inserts=[list(e) for e in inserts],
-                            deletes=[list(p) for p in deletes],
-                        )
-                        journaled = True
-                    self.store.swap(epoch)
-            except BaseException:
-                (ev.graph, ev.cg, ev._triangle_safe,
-                 ev.stats.inserted_edges, ev.stats.deleted_edges) = saved
-                if journaled:
-                    self._abort_record(number)
-                raise
+            with span("evolve.apply", epoch=number,
+                      inserts=len(inserts), deletes=len(deletes)):
+                step = advance(
+                    base.graph, base.proxy, base.triangle_safe,
+                    inserts, deletes,
+                )
+                # Inside the writer lock on purpose: the chaos model kills
+                # a batch between computing its epoch and publishing it.
+                fault_point("evolve.apply")  # repro: noqa RC104 — chaos site: a crash here publishes nothing
+                epoch = make_epoch(
+                    number,
+                    step.graph,
+                    step.cg,
+                    triangle_safe=step.triangle_safe,
+                    inserted_edges=base.inserted_edges + len(inserts),
+                    deleted_edges=base.deleted_edges + step.deleted,
+                    probe_precision=base.probe_precision,
+                    rebuilt_from=base.rebuilt_from,
+                )
+                self._publish(
+                    epoch, "batch",
+                    inserts=[list(e) for e in inserts],
+                    deletes=[list(p) for p in deletes],
+                )
             self._batches += 1
         self._maybe_snapshot(epoch)
         if obs_runtime._enabled:
             obs_metrics.counter("evolve.batches").inc()
             obs_metrics.counter("evolve.inserted_edges").inc(len(inserts))
-            obs_metrics.counter("evolve.deleted_edges").inc(deleted_now)
+            obs_metrics.counter("evolve.deleted_edges").inc(step.deleted)
             obs_journal.emit({
                 "type": "event",
                 "name": "evolve.batch",
                 "epoch": epoch.number,
                 "inserts": len(inserts),
-                "deletes": deleted_now,
+                "deletes": step.deleted,
                 "num_edges": epoch.graph.num_edges,
             })
         return epoch
@@ -235,8 +217,27 @@ class EpochMaintainer:
     # ------------------------------------------------------------------
     # Durability plumbing
     # ------------------------------------------------------------------
+    def _publish(self, epoch: Epoch, kind: str, **payload: Any) -> None:
+        """Log ``epoch`` as a ``kind`` record (when a WAL is attached),
+        then swap it in. Called with the writer lock held.
+
+        A failure after the append writes the best-effort ``abort``
+        record; either way the current epoch stays published.
+        """
+        if san_runtime._enabled:
+            san_probes.check_epoch_integrity(epoch, "evolve.publish")
+        if self.wal is not None:
+            self.wal.append(
+                kind, epoch.number, fingerprint=epoch.fingerprint, **payload
+            )
+        try:
+            self.store.swap(epoch)
+        except BaseException:
+            self._abort_record(epoch.number)
+            raise
+
     def _abort_record(self, epoch_number: int) -> None:
-        """Best-effort ``abort`` marker for a logged-but-unswapped batch.
+        """Best-effort ``abort`` marker for a logged-but-unswapped epoch.
 
         Failing to write it is tolerable: recovery then replays the
         batch, landing one epoch *ahead* of the last acknowledged one —
@@ -302,29 +303,24 @@ class EpochMaintainer:
             current = self.store.current()
             number = self._successor(current, logged)
             precision = (
-                self._ev.probe_precision() if logged is None
-                else logged["precision"]
+                probe_precision(current.graph, current.proxy, self.spec)
+                if logged is None else logged["precision"]
             )
             if logged is not None or current.probe_precision != precision:
-                refreshed = replace(
-                    current, number=number, probe_precision=precision
+                # Probe refreshes consume an epoch number, so they must
+                # be journaled or replay numbering would gap.
+                self._publish(
+                    replace(current, number=number,
+                            probe_precision=precision),
+                    "probe", precision=precision,
                 )
-                if self.wal is not None:
-                    # Probe refreshes consume an epoch number, so they
-                    # must be journaled or replay numbering would gap.
-                    self.wal.append(
-                        "probe", refreshed.number,
-                        fingerprint=refreshed.fingerprint,
-                        precision=precision,
-                    )
-                self.store.swap(refreshed)
         if obs_runtime._enabled:
             obs_metrics.gauge("evolve.probe_precision").set(precision)
         return precision
 
     def needs_rebuild(self) -> bool:
         """Whether the precision probe fell below the rebuild threshold."""
-        return self.probe() < self._ev.rebuild_below_precision
+        return self.probe() < REBUILD_BELOW_PRECISION
 
     # ------------------------------------------------------------------
     # Rebuild (snapshot -> build outside the lock -> rebase -> publish)
@@ -342,14 +338,12 @@ class EpochMaintainer:
         while this runs. The ``evolve.rebuild`` fault point models a
         crash inside the long build.
         """
-        from repro.core.dispatch import build_cg
-
         fault_point("evolve.rebuild")
         with span("evolve.rebuild", epoch=snapshot.number):
             return build_cg(
                 snapshot.graph,
                 self.spec,
-                num_hubs=self._ev.num_hubs,
+                num_hubs=self.num_hubs,
                 budget=budget,
                 progress=progress,
             )
@@ -376,11 +370,10 @@ class EpochMaintainer:
         rebuild never sees.
         """
         with self._lock:
-            ev = self._ev
             base = self.store.current()
             number = self._successor(base, logged)
-            rebased = ev.graph.fingerprint() != snapshot.fingerprint
-            installed = self._rebase(ev.graph, proxy) if rebased else proxy
+            rebased = base.fingerprint != snapshot.fingerprint
+            installed = rebase(base.graph, proxy) if rebased else proxy
             if logged is None:
                 clean, built_on = not rebased, snapshot.number
             else:
@@ -390,18 +383,13 @@ class EpochMaintainer:
                 base, number=number, proxy=installed, triangle_safe=clean,
                 probe_precision=None, rebuilt_from=built_on,
             )
-            if self.wal is not None:
-                # The install marker tells recovery which replayed
-                # epochs had a freshly identified CG (and whether
-                # Theorem-1 certificates were sound on them).
-                self.wal.append(
-                    "install", epoch.number,
-                    fingerprint=epoch.fingerprint,
-                    built_on=built_on,
-                    triangle_safe=clean,
-                )
-            self.store.swap(epoch)
-            ev.adopt(installed, triangle_safe=clean)
+            # The install marker tells recovery which replayed epochs had
+            # a freshly identified CG (and whether Theorem-1 certificates
+            # were sound on them).
+            self._publish(
+                epoch, "install", built_on=built_on, triangle_safe=clean
+            )
+            self._rebuilds += 1
         # A rebuild install is the natural snapshot anchor: persisting
         # the fresh proxy means recovery replays mutations, not builds.
         self._snapshot_and_compact(epoch)
@@ -417,27 +405,6 @@ class EpochMaintainer:
                 "triangle_safe": clean,
             })
         return epoch
-
-    @staticmethod
-    def _rebase(current: Graph, proxy: CoreGraph) -> CoreGraph:
-        """Fit a proxy built on an older snapshot to ``current``.
-
-        One weighted multiset join: the CG keeps exactly the
-        ``(u, v, w)`` edges of ``proxy`` that ``current`` still holds
-        (a pair deleted and re-inserted at another weight is gone), so
-        the result is a subgraph of ``current`` by construction. Hub
-        values are stale either way, so they are discarded.
-        """
-        mask = _membership_mask(current, proxy.graph)
-        return CoreGraph(
-            graph=edge_subgraph(current, mask),
-            edge_mask=mask,
-            spec_name=proxy.spec_name,
-            hubs=proxy.hubs,
-            hub_data=[],
-            connectivity_edges=proxy.connectivity_edges,
-            source_num_edges=current.num_edges,
-        )
 
     def rebuild(self, budget=None, progress=None) -> Epoch:
         """Synchronous snapshot -> build -> install convenience."""
@@ -455,17 +422,17 @@ class EpochMaintainer:
     @property
     def graph(self) -> Graph:
         """The live (latest-epoch) graph — what the next batch mutates."""
-        return self._ev.graph
+        return self.store.current().graph
 
     def emit_stats(self) -> None:
         """Journal an ``evolve.stats`` snapshot (end-of-run summary)."""
-        current = self.store.current()
-        # Snapshot the writer-lock-guarded counters together so the
-        # journal line is internally consistent even if a batch is
+        # Read the epoch and the writer-lock-guarded counters together so
+        # the journal line is internally consistent even if a batch is
         # applying concurrently.
         with self._lock:
+            current = self.store.current()
             batches = self._batches
-            rebuilds = self._ev.stats.rebuilds
+            rebuilds = self._rebuilds
         obs_journal.emit({
             "type": "event",
             "name": "evolve.stats",

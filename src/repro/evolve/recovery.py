@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.checks.sanitize import probes as san_probes
+from repro.checks.sanitize.runtime import SanitizerViolation
 from repro.core.dispatch import build_cg
 from repro.evolve.maintainer import EpochMaintainer
 from repro.evolve.snapshot import SnapshotStore, snapshot_file
@@ -273,27 +275,12 @@ def recover(
 def _verify_epoch(epoch) -> None:
     """Internal-consistency gate for ``--verify``: never hand back a
     torn epoch as a successful recovery."""
-    g = epoch.graph
-    actual = g.fingerprint()
-    if actual != epoch.fingerprint:
+    try:
+        san_probes.check_epoch_integrity(epoch, "evolve.recover")
+    except SanitizerViolation as exc:
         raise RecoveryVerifyError(
-            f"recovered epoch {epoch.number} fingerprint "
-            f"{epoch.fingerprint[:12]} does not match its graph content "
-            f"({actual[:12]})"
-        )
-    mask = getattr(epoch.proxy, "edge_mask", None)
-    if mask is not None:
-        if mask.size != g.num_edges:
-            raise RecoveryVerifyError(
-                f"recovered epoch {epoch.number} proxy mask covers "
-                f"{mask.size} edges but the graph holds {g.num_edges}"
-            )
-        if int(mask.sum()) != epoch.proxy.graph.num_edges:
-            raise RecoveryVerifyError(
-                f"recovered epoch {epoch.number} proxy mask marks "
-                f"{int(mask.sum())} edges but the CG holds "
-                f"{epoch.proxy.graph.num_edges}"
-            )
+            f"recovered epoch {epoch.number} is inconsistent: {exc}"
+        ) from exc
 
 
 def _record_recovery(report: RecoveryReport) -> None:

@@ -155,7 +155,7 @@ class Graph:
             # Benign write race: the arrays are immutable here, so every
             # contender derives the identical digest and last-write-wins
             # is correct — a lock on a value object would be overkill.
-            self._fingerprint = h.hexdigest()  # repro: noqa RC101 — idempotent
+            self._fingerprint = h.hexdigest()
         return self._fingerprint
 
     # ------------------------------------------------------------------

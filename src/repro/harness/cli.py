@@ -427,9 +427,9 @@ def _cmd_serve(args) -> int:
                     maintainer.apply(batch.inserts, batch.deletes)
                     churn_stats["batches"] += 1
                 except InjectedFault:
-                    # The maintainer restored its state; the batch is
-                    # simply lost, which is the crash semantics under
-                    # test — keep the storm going.
+                    # Nothing was published; the batch is simply lost,
+                    # which is the crash semantics under test — keep
+                    # the storm going.
                     churn_stats["rolled_back"] += 1
                 step += 1
                 stop_churn.wait(args.mutate_interval)

@@ -5,10 +5,12 @@ torn stats snapshots in the evolve maintainer and rebuild supervisor, a
 torn ``TraceStore.stats`` snapshot, and the metrics exporter's
 stop-vs-accept race. The poison-on-release locks make the races
 deterministic: if a snapshot is read after the critical section again,
-the poisoned value shows up and the assertion fails.
+the poisoned value shows up and the assertion fails. The
+publish-on-enter lock does the same for a read taken before it.
 """
 
 import threading
+from dataclasses import replace
 
 from repro.datasets.example import example_graph
 from repro.evolve.maintainer import EpochMaintainer
@@ -48,7 +50,7 @@ def test_emit_stats_snapshots_counters_under_writer_lock(monkeypatch):
 
     def poison():
         m._batches = 10_000
-        m._ev.stats.rebuilds = 10_000
+        m._rebuilds = 10_000
 
     lock = PoisonOnRelease(poison)
     m._lock = lock
@@ -56,6 +58,48 @@ def test_emit_stats_snapshots_counters_under_writer_lock(monkeypatch):
     assert lock.acquisitions >= 1, "emit_stats never took the writer lock"
     assert captured["batches"] == true_batches
     assert captured["rebuilds"] != 10_000
+
+
+class PublishOnEnter:
+    """Lock stand-in that lets a batch land just before it is granted."""
+
+    def __init__(self, publish) -> None:
+        self._lock = threading.Lock()
+        self._publish = publish
+
+    def __enter__(self):
+        self._publish()
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+        return False
+
+
+def test_emit_stats_reads_the_epoch_under_writer_lock(monkeypatch):
+    m = EpochMaintainer(example_graph(), SSSP, num_hubs=2)
+    m.apply([(0, 5, 1.0)], [])
+    captured = {}
+    monkeypatch.setattr(
+        "repro.evolve.maintainer.obs_journal.emit", captured.update
+    )
+
+    def publish():
+        # A concurrent writer's batch: a new epoch and its batch count.
+        base = m.store.current()
+        m.store.swap(replace(
+            base, number=base.number + 1,
+            inserted_edges=base.inserted_edges + 1,
+        ))
+        m._batches += 1
+
+    m._lock = PublishOnEnter(publish)
+    m.emit_stats()
+    # Every epoch after 0 came from one batch, so a consistent line
+    # pairs epoch N with N batches.
+    assert captured["epoch"] == captured["batches"] == 2
+    assert captured["inserted_edges"] == 2
 
 
 def test_describe_snapshots_rebuild_stats_under_their_lock():

@@ -1,13 +1,16 @@
 """EpochStore: atomic swap, pinning, staleness math, torn-epoch probe."""
 
 import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.checks.sanitize import probes as san_probes
 from repro.checks.sanitize.runtime import SanitizerViolation
-from repro.evolve import EpochStore
+from repro.evolve import EpochStore, RecoveryVerifyError
 from repro.evolve.epoch import make_epoch
+from repro.evolve.recovery import _verify_epoch
 from repro.graph.mutate import random_edge_batch, sample_edge_pairs
 from repro.graph.mutate import add_edges, remove_edges
 from repro.resilience.faults import InjectedCrash, injected
@@ -137,3 +140,21 @@ class TestTornEpochProbe:
         torn = make_epoch(base.number + 1, _mutated(base.graph), base.proxy)
         with pytest.raises(SanitizerViolation):
             san_probes.check_epoch_integrity(torn, "test")
+
+    def test_right_count_on_wrong_edges_detected(self, maintainer):
+        base = maintainer.store.current()
+        mask = base.proxy.edge_mask.copy()
+        g = base.graph
+        # Move one mark from a CG edge onto a non-CG edge with another
+        # (u, v, w): the popcount and every CG edge's presence in G stay
+        # right, only the mask addresses the wrong edges.
+        rows = list(zip(g.edge_sources(), g.dst, g.edge_weights()))
+        on = int(np.flatnonzero(mask)[0])
+        off = next(int(i) for i in np.flatnonzero(~mask)
+                   if rows[i] != rows[on])
+        mask[on], mask[off] = False, True
+        torn = replace(base, proxy=replace(base.proxy, edge_mask=mask))
+        with pytest.raises(SanitizerViolation, match="not the CG's edges"):
+            san_probes.check_epoch_integrity(torn, "test")
+        with pytest.raises(RecoveryVerifyError):
+            _verify_epoch(torn)

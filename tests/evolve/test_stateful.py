@@ -35,6 +35,7 @@ from repro.core.twophase import two_phase
 from repro.evolve import EpochMaintainer, WalWriter, recover
 from repro.evolve.snapshot import snapshot_epoch
 from repro.graph.builder import from_edges
+from repro.graph.transform import edge_subgraph
 from repro.queries import SSSP
 from repro.queries.reference import dijkstra_like
 from repro.resilience.faults import InjectedCrash, injected
@@ -281,6 +282,9 @@ class LivePlaneMachine(RuleBasedStateMachine):
         assert not Counter(cg.graph.iter_edges()) - in_graph
         assert cg.edge_mask.shape == (g.num_edges,)
         assert int(cg.edge_mask.sum()) == cg.graph.num_edges
+        assert Counter(edge_subgraph(g, cg.edge_mask).iter_edges()) == (
+            Counter(cg.graph.iter_edges())
+        )
 
         assert epoch.triangle_safe == self.triangle_safe
         for i, source in enumerate((epoch.number % self.n,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.evolving import EvolvingCoreGraph
+from repro.core.evolving import EvolvingCoreGraph, advance
+from repro.core.twophase import two_phase
 from repro.engines.frontier import evaluate_query
 from repro.graph.builder import from_arrays
 from repro.queries.specs import SSSP, SSWP
@@ -83,3 +84,33 @@ def test_cg_stays_subgraph(data):
     full = Counter(ev.graph.iter_edges())
     assert not Counter(ev.cg.graph.iter_edges()) - full
     assert int(ev.cg.edge_mask.sum()) == ev.cg.graph.num_edges
+
+
+@pytest.mark.parametrize("spec", (SSSP, SSWP), ids=lambda s: s.name)
+@given(data=churn_scenario())
+@settings(max_examples=30, deadline=None)
+def test_mixed_batch_matches_insert_then_delete(spec, data):
+    g, ops, source = data
+    # Fold the scenario into one batch: every insert that is new to ``g``
+    # (once), then every delete pair.
+    present = {(u, v) for u, v, _ in g.iter_edges()}
+    inserts, deletes = [], []
+    for kind, batch in ops:
+        for e in batch:
+            if kind == "delete":
+                deletes.append(e)
+            elif (e[0], e[1]) not in present:
+                present.add((e[0], e[1]))
+                inserts.append(e)
+    ev = EvolvingCoreGraph(g, spec, num_hubs=2)
+    step = advance(ev.graph, ev.cg, ev.triangle_safe, inserts, deletes)
+    ev.insert_edges(inserts)
+    ev.delete_edges(deletes)
+    assert step.graph.fingerprint() == ev.graph.fingerprint()
+    assert np.array_equal(step.cg.edge_mask, ev.cg.edge_mask)
+    assert step.cg.graph == ev.cg.graph
+    assert step.triangle_safe == ev.triangle_safe
+    assert step.deleted == ev.stats.deleted_edges
+    res = two_phase(step.graph, step.cg, spec, source)
+    assert np.array_equal(res.values,
+                          evaluate_query(step.graph, spec, source))
