@@ -1,15 +1,15 @@
 """``repro-coregraph check``: static analysis, races, noqa audit, smoke.
 
-Entry points, usable programmatically or via the harness CLI:
+The options are declared once, by :func:`add_arguments`, and executed
+by :func:`run`; ``repro-coregraph check`` and ``python -m
+repro.checks.cli`` both go through them. The modes, usable
+programmatically too:
 
-* :func:`run_static` — lint the given paths with the RC001–RC010 rule
-  catalog. Exit code 1 when any violation survives suppression.
-  Optionally also runs ``ruff`` and ``mypy`` when they are installed
-  (``--ruff`` / ``--mypy``; both skip gracefully with a note when the
-  tool is absent, so the subcommand works in the minimal container and
-  is strict in CI).
+* :func:`run_static` — lint the given paths with the RC rule catalog
+  (:mod:`repro.checks.lint`). Exit code 1 when any violation survives
+  suppression.
 * :func:`run_races` — the whole-program concurrency analyzer
-  (RC101–RC105, :mod:`repro.checks.race`).
+  (:mod:`repro.checks.race`).
 * :func:`run_strict_noqa` — the stale/unjustified suppression audit
   (RC100, :mod:`repro.checks.noqa`).
 * :func:`run_sanitize_smoke` — enable the runtime sanitizer and drive a
@@ -17,21 +17,18 @@ Entry points, usable programmatically or via the harness CLI:
   dataset, plus one round trip through each alternative engine. Exit
   code 1 on the first :class:`SanitizerViolation`.
 
-Every analysis mode takes ``as_json``: instead of the human report it
-prints one JSON object, ``{"violations": [{"path", "line", "rule",
-"message"}, ...], "count": N}`` — stable fields CI consumes for PR
-annotations (see ``.github/problem-matcher.json`` for the text form).
+Findings print one per line as ``path:line: RCxxx message``, the form
+``.github/problem-matcher.json`` turns into PR annotations.
 """
 
 from __future__ import annotations
 
-import json
-import shutil
-import subprocess
+import argparse
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.checks.lint.framework import Violation
+if TYPE_CHECKING:
+    from repro.checks.lint.framework import Violation
 
 DEFAULT_PATHS = ("src/repro",)
 
@@ -66,29 +63,9 @@ def collect_noqa(
     return audit(paths or DEFAULT_PATHS)
 
 
-def violations_payload(violations: Sequence[Violation]) -> Dict:
-    """The machine-readable form of a violation list."""
-    return {
-        "violations": [
-            {
-                "path": str(v.path),
-                "line": v.line,
-                "rule": v.rule,
-                "message": v.message,
-            }
-            for v in violations
-        ],
-        "count": len(violations),
-    }
-
-
-def _report(
-    violations: Sequence[Violation], as_json: bool, clean: str
-) -> int:
-    """Print the report (text or JSON); 0 = clean, 1 = violations."""
-    if as_json:
-        print(json.dumps(violations_payload(violations), indent=2))
-    elif not violations:
+def _report(violations: Sequence[Violation], clean: str) -> int:
+    """Print the report; 0 = clean, 1 = violations."""
+    if not violations:
         print(clean)
     else:
         from repro.checks.lint import render_report
@@ -100,45 +77,24 @@ def _report(
 def run_static(
     paths: Optional[Sequence[str]] = None,
     rules: Optional[Sequence[str]] = None,
-    with_ruff: bool = False,
-    with_mypy: bool = False,
-    as_json: bool = False,
 ) -> int:
     """Lint ``paths`` (default ``src/repro``); 0 = clean, 1 = violations."""
-    violations = collect_static(paths, rules)
-    rc = _report(violations, as_json, clean="static analysis: clean")
-    for tool, wanted, argv in (
-        ("ruff", with_ruff, ["ruff", "check", *(paths or DEFAULT_PATHS)]),
-        ("mypy", with_mypy, ["mypy"]),
-    ):
-        if not wanted:
-            continue
-        if shutil.which(tool) is None:
-            print(f"{tool}: not installed, skipping (CI runs it)")
-            continue
-        proc = subprocess.run(argv)
-        rc = rc or proc.returncode
-    return rc
+    return _report(collect_static(paths, rules),
+                   clean="static analysis: clean")
 
 
 def run_races(
     paths: Optional[Sequence[str]] = None,
     rules: Optional[Sequence[str]] = None,
-    as_json: bool = False,
 ) -> int:
     """Concurrency analysis of ``paths``; 0 = clean, 1 = violations."""
-    violations = collect_races(paths, rules)
-    return _report(violations, as_json, clean="race analysis: clean")
+    return _report(collect_races(paths, rules), clean="race analysis: clean")
 
 
-def run_strict_noqa(
-    paths: Optional[Sequence[str]] = None,
-    as_json: bool = False,
-) -> int:
+def run_strict_noqa(paths: Optional[Sequence[str]] = None) -> int:
     """Suppression audit of ``paths``; 0 = clean, 1 = findings."""
-    violations = collect_noqa(paths)
     return _report(
-        violations, as_json,
+        collect_noqa(paths),
         clean="noqa audit: every suppression is live and justified",
     )
 
@@ -199,50 +155,50 @@ def run_sanitize_smoke(sources: Sequence[int] = (0,)) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point mirroring ``repro-coregraph check``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro-checks")
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the ``check`` options on ``parser``."""
     parser.add_argument("--static", action="store_true",
-                        help="run the RC static-analysis rules")
+                        help="run the RC lint rules (default when no mode "
+                             "flag is given)")
     parser.add_argument("--races", action="store_true",
-                        help="run the whole-program concurrency analyzer "
-                             "(RC101-RC105)")
+                        help="run the whole-program concurrency analyzer")
     parser.add_argument("--strict-noqa", action="store_true",
                         help="fail on stale or unjustified '# repro: noqa' "
                              "suppressions (RC100)")
     parser.add_argument("--sanitize-run", action="store_true",
-                        help="run the sanitized end-to-end smoke")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit violations as one JSON object instead "
-                             "of the text report")
-    parser.add_argument("paths", nargs="*", default=None,
-                        help="files/directories to lint (default src/repro)")
+                        help="sanitized two_phase of every query kind on "
+                             "the example dataset")
+    parser.add_argument("paths", nargs="*",
+                        help="files/directories to check (default "
+                             "src/repro)")
     parser.add_argument("--rule", action="append", dest="rules",
+                        metavar="RC",
                         help="restrict to specific rule ids (repeatable)")
-    parser.add_argument("--ruff", action="store_true",
-                        help="also run ruff when installed")
-    parser.add_argument("--mypy", action="store_true",
-                        help="also run mypy when installed")
-    args = parser.parse_args(argv)
-    if not any((args.static, args.races, args.strict_noqa,
-                args.sanitize_run)):
-        args.static = True
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the modes ``args`` selects; 0 = all clean."""
+    paths = args.paths or None
+    static = args.static or not (
+        args.races or args.strict_noqa or args.sanitize_run
+    )
     rc = 0
-    if args.static:
-        rc = run_static(args.paths or None, rules=args.rules,
-                        with_ruff=args.ruff, with_mypy=args.mypy,
-                        as_json=args.as_json)
+    if static:
+        rc = run_static(paths, rules=args.rules)
     if args.races:
-        rc = run_races(args.paths or None, rules=args.rules,
-                       as_json=args.as_json) or rc
+        rc = run_races(paths, rules=args.rules) or rc
     if args.strict_noqa:
-        rc = run_strict_noqa(args.paths or None,
-                             as_json=args.as_json) or rc
+        rc = run_strict_noqa(paths) or rc
     if args.sanitize_run:
         rc = run_sanitize_smoke() or rc
     return rc
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Standalone entry point, the same as ``repro-coregraph check``."""
+    parser = argparse.ArgumentParser(prog="repro-checks")
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ Usage::
     for v in violations:
         print(v.render())
 
-Rules live in :mod:`repro.checks.lint.rules` (RC001–RC010); the visitor
+Rules live in :mod:`repro.checks.lint.rules`; the visitor
 framework, file discovery, and ``# repro: noqa RCxxx`` suppression live in
 :mod:`repro.checks.lint.framework`. The catalog each rule enforces is
 documented in ``docs/static-analysis.md``.

@@ -8,7 +8,7 @@ runs every applicable rule over it.
 Suppression mirrors flake8's, namespaced to this tool so the two never
 collide:
 
-* ``# repro: noqa RC001`` on a line suppresses RC001 violations reported
+* ``# repro: noqa RC004`` on a line suppresses RC004 violations reported
   for that line (several ids may be comma-separated);
 * ``# repro: noqa`` on a line suppresses every rule for that line;
 * ``# repro: noqa-file RC002`` anywhere in a file suppresses RC002 for

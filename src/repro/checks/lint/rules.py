@@ -5,18 +5,17 @@ suppression guidance) is ``docs/static-analysis.md``. Rules are scoped by
 module prefix so fixture trees mirroring the package layout (see
 ``tests/checks/fixtures/``) are linted exactly like the shipped tree.
 
+Each rule catches a bug that the test suite lets through; its docstring
+names that bug (see the seeded-bug census in ``docs/static-analysis.md``).
+
 Rule index
 ----------
-RC001  engine iteration loops must poll their Budget
 RC002  persistence writes must go through repro.resilience.atomic
-RC003  no ==/!= on float value arrays in engines
+RC003  no ==/!= on value arrays in engines
 RC004  no bare/overbroad except that swallows exceptions
 RC005  metric/span/event names must be registered in repro.obs.namespaces
-RC006  no unseeded RNG or wall-clock-in-loop in engine/core kernels
 RC007  no mutable default arguments
-RC008  QuerySpec connectivity_pick must be consistent with its Selection
 RC009  never catch RuntimeError (it swallows BudgetExceeded)
-RC010  engine loops must expose a fault_point site
 """
 
 from __future__ import annotations
@@ -77,46 +76,6 @@ def _call_named(call: ast.Call, *names: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# RC001 — engine iteration loops must poll their Budget
-# ---------------------------------------------------------------------------
-
-
-class RC001BudgetPoll(Rule):
-    """An engine loop that never ticks a Budget can run away unbounded.
-
-    The resilience contract (PR 3) is that every evaluator enforces
-    deadline/iteration/frontier limits at iteration boundaries. A loop is
-    recognized as an engine iteration loop when it gathers frontier edges
-    (``ragged_gather``) or declares a fault site (``fault_point``); it must
-    then contain a ``budget.tick(...)`` (or ``check_deadline``) call.
-    """
-
-    id = "RC001"
-    title = "engine iteration loop must poll its Budget"
-    scopes = ("repro.engines.",)
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.While):
-                continue
-            is_engine_loop = any(
-                _call_named(c, "ragged_gather", "fault_point")
-                for c in _calls(node)
-            )
-            if not is_engine_loop:
-                continue
-            ticks = any(
-                _call_named(c, "tick", "check_deadline") for c in _calls(node)
-            )
-            if not ticks:
-                yield self.violation(
-                    ctx, node,
-                    "engine iteration loop never polls a Budget "
-                    "(budget.tick(...) at the round boundary)",
-                )
-
-
-# ---------------------------------------------------------------------------
 # RC002 — persistence writes must go through repro.resilience.atomic
 # ---------------------------------------------------------------------------
 
@@ -131,12 +90,15 @@ class RC002AtomicWrites(Rule):
     ``os.replace``), so a reader never observes a truncated artifact.
     Within the persistence modules this rule flags write-mode ``open``,
     ``Path.write_text/bytes``, and ``np.save*`` calls whose target is not
-    a name bound by an atomic context manager.
+    a name bound by an atomic context manager. ``summarize`` writing
+    ``SUMMARY.md`` with a raw ``write_text`` passes the test suite; only
+    this rule sees it.
     """
 
     id = "RC002"
     title = "persistence writes must use resilience.atomic"
     scopes = (
+        "repro.graph.",
         "repro.obs.",
         "repro.io.",
         "repro.resilience.",
@@ -231,11 +193,13 @@ _VALUE_NAMES = frozenset({
 
 
 class RC003FloatValueEquality(Rule):
-    """``==``/``!=`` on float value arrays breaks under accumulated error.
+    """``==``/``!=`` on value arrays ignores the selection direction.
 
-    Engines must compare values with the query's selection comparator
-    (``spec.better``/``spec.values_equal``), which carries the per-query
-    tolerances (Viterbi's multiplicative chains need ``rtol=1e-6``).
+    Engines decide whether a candidate improves a value with the query's
+    comparator (``spec.better``), which knows whether the query minimizes
+    or maximizes. ``cand != old`` is also true for *worse* candidates:
+    swapped in for ``spec.better`` in the batch engine it inflates the
+    update counts, and the test suite does not notice.
     """
 
     id = "RC003"
@@ -267,8 +231,7 @@ class RC003FloatValueEquality(Rule):
                     yield self.violation(
                         ctx, node,
                         f"exact ==/!= on value array {root!r}; use the "
-                        "query's selection comparator "
-                        "(spec.better / spec.values_equal)",
+                        "query's selection comparator (spec.better)",
                     )
                     break
 
@@ -307,7 +270,9 @@ class RC004OverbroadExcept(Rule):
     structured control-flow exceptions the resilience layer depends on —
     a budget abort caught by a cleanup handler silently becomes a hang.
     A handler that re-raises (bare ``raise``) is fine: it observes, it
-    does not swallow.
+    does not swallow. Widening ``SnapshotStore.latest``'s fallback to
+    ``except Exception`` (a bug in ``load`` then silently recovers from an
+    older snapshot) passes the test suite; only this rule sees it.
     """
 
     id = "RC004"
@@ -349,7 +314,9 @@ class RC005RegisteredNames(Rule):
     string-literal name handed to
     ``counter/gauge/histogram``, ``span``, or an ``emit({"type": "event",
     "name": ...})`` journal line must appear in
-    :mod:`repro.obs.namespaces`.
+    :mod:`repro.obs.namespaces`. A typo in the breaker's
+    ``serve.breaker.trips`` counter passes the test suite; only this rule
+    sees it.
     """
 
     id = "RC005"
@@ -438,68 +405,6 @@ class RC005RegisteredNames(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RC006 — determinism: no unseeded RNG / wall-clock-in-loop in kernels
-# ---------------------------------------------------------------------------
-
-_CLOCK_CALLS = frozenset({
-    "time.time", "time.perf_counter", "time.monotonic",
-    "time.process_time", "datetime.now", "datetime.utcnow",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-})
-
-
-class RC006KernelDeterminism(Rule):
-    """Engine schedules must replay exactly; kernels must be pure.
-
-    Three readers compare runs bit-for-bit: the dense-vs-sparse round
-    identity tests, the derandomized stateful evolve test
-    (``tests/evolve/test_stateful.py``), and the benchmark suite's
-    exact-count rungs (edges and rounds per query). Unseeded randomness or
-    per-iteration wall-clock reads inside the kernel loop break all
-    three. Seeded generators (``default_rng(seed)``) are allowed; timing
-    *around* a loop (stats wall time) is allowed; the Budget's internal
-    clock lives in ``repro.resilience`` and is exempt by scope.
-    """
-
-    id = "RC006"
-    title = "nondeterminism in engine/core kernel"
-    scopes = ("repro.engines.", "repro.core.")
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for call in _calls(ctx.tree):
-            dotted = _dotted(call.func) or ""
-            if dotted.startswith(("np.random.", "numpy.random.")):
-                tail = dotted.split(".")[-1]
-                if tail == "default_rng" and (call.args or call.keywords):
-                    continue  # seeded: deterministic by construction
-                yield self.violation(
-                    ctx, call,
-                    f"{dotted}() in a kernel module; use a seeded "
-                    "default_rng(seed) threaded from the caller",
-                )
-            elif dotted.startswith("random.") or dotted == "default_rng":
-                if dotted == "default_rng" and (call.args or call.keywords):
-                    continue
-                yield self.violation(
-                    ctx, call,
-                    f"{dotted}() in a kernel module is unseeded "
-                    "nondeterminism",
-                )
-        for loop in ast.walk(ctx.tree):
-            if not isinstance(loop, (ast.While, ast.For)):
-                continue
-            for call in _calls(loop):
-                dotted = _dotted(call.func) or ""
-                if dotted in _CLOCK_CALLS:
-                    yield self.violation(
-                        ctx, call,
-                        f"{dotted}() inside an iteration loop: wall-clock "
-                        "reads in the kernel break run-to-run "
-                        "determinism (time around the loop instead)",
-                    )
-
-
-# ---------------------------------------------------------------------------
 # RC007 — no mutable default arguments
 # ---------------------------------------------------------------------------
 
@@ -507,7 +412,12 @@ _MUTABLE_CTORS = frozenset({"list", "dict", "set", "bytearray"})
 
 
 class RC007MutableDefaults(Rule):
-    """A mutable default is shared across calls — state leaks between runs."""
+    """A mutable default is shared across calls — state leaks between runs.
+
+    ``MetricsServer(collectors=[])`` stored as ``self._collectors`` makes
+    ``add_collector`` on one exporter leak into every later one; the test
+    suite does not notice.
+    """
 
     id = "RC007"
     title = "mutable default argument"
@@ -537,77 +447,6 @@ class RC007MutableDefaults(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RC008 — QuerySpec connectivity_pick consistency
-# ---------------------------------------------------------------------------
-
-
-class RC008ConnectivityPick(Rule):
-    """Algorithm 1's connectivity pass must pick edges the query can use.
-
-    The added out-edge for an otherwise-disconnected vertex must be the
-    one the selection direction prefers: MIN-select weighted queries keep
-    the lightest edge, plain MAX-select (SSWP) the heaviest, unweighted
-    queries any edge. A MAX-select spec with a ``weight_transform`` is
-    exempt from the direction check — Viterbi legitimately picks the
-    *minimum* raw weight because its transform maps ``w >= 1`` to ``1/w``
-    (small weight = high transition probability). Every spec must declare
-    its pick explicitly so the choice is reviewed, not defaulted.
-    """
-
-    id = "RC008"
-    title = "QuerySpec connectivity_pick inconsistent with Selection"
-    scopes = ("repro.",)
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for call in _calls(ctx.tree):
-            if not (
-                isinstance(call.func, ast.Name)
-                and call.func.id == "QuerySpec"
-            ):
-                continue
-            kwargs = {kw.arg: kw.value for kw in call.keywords if kw.arg}
-            pick = _str_const(kwargs.get("connectivity_pick", ast.Pass()))
-            selection = _dotted(kwargs.get("selection", ast.Pass())) or ""
-            uses_weights = kwargs.get("uses_weights")
-            unweighted = (
-                isinstance(uses_weights, ast.Constant)
-                and uses_weights.value is False
-            )
-            has_transform = "weight_transform" in kwargs
-            if "connectivity_pick" not in kwargs:
-                yield self.violation(
-                    ctx, call,
-                    "QuerySpec must declare connectivity_pick explicitly "
-                    "(the Algorithm 1 connectivity pass depends on it)",
-                )
-                continue
-            if unweighted:
-                if pick != "any":
-                    yield self.violation(
-                        ctx, call,
-                        f"unweighted QuerySpec must use "
-                        f"connectivity_pick='any', not {pick!r}",
-                    )
-            elif selection.endswith("Selection.MIN") and pick != "min":
-                yield self.violation(
-                    ctx, call,
-                    f"MIN-selection weighted QuerySpec must use "
-                    f"connectivity_pick='min', not {pick!r}",
-                )
-            elif (
-                selection.endswith("Selection.MAX")
-                and not has_transform
-                and pick != "max"
-            ):
-                yield self.violation(
-                    ctx, call,
-                    f"MAX-selection weighted QuerySpec without a "
-                    f"weight_transform must use connectivity_pick='max', "
-                    f"not {pick!r}",
-                )
-
-
-# ---------------------------------------------------------------------------
 # RC009 — never catch RuntimeError (it swallows BudgetExceeded)
 # ---------------------------------------------------------------------------
 
@@ -617,7 +456,10 @@ class RC009RuntimeErrorCatch(Rule):
 
     Code that wants to survive a budget abort must catch
     ``BudgetExceeded`` by name (and decide about ``anytime`` semantics);
-    code that wants cleanup must re-raise.
+    code that wants cleanup must re-raise. ``serve --mutate-stream``
+    catching ``RuntimeError`` where it means ``InjectedFault`` counts any
+    failed batch as a rollback and keeps going; the test suite does not
+    notice.
     """
 
     id = "RC009"
@@ -636,75 +478,14 @@ class RC009RuntimeErrorCatch(Rule):
                     )
 
 
-# ---------------------------------------------------------------------------
-# RC010 — engine loops must expose a fault_point site
-# ---------------------------------------------------------------------------
-
-
-class RC010FaultSite(Rule):
-    """Engines (and serve workers) without fault sites cannot be crash-tested.
-
-    The failure-mode suite and CI's crash smoke kill engines at
-    named ``fault_point`` sites; an evaluator without one is untestable
-    under injected faults and silently escapes that coverage. The same
-    holds for ``repro.serve`` worker loops (the chaos-service CI step can
-    only prove worker supervision if every loop that pops and executes
-    requests declares a kill site), for the ``repro.obs.live``
-    scrape exporter — its thread runs unattended for the whole process
-    lifetime, so its loop must be killable in chaos tests too — and for
-    the ``repro.evolve``
-    rebuild supervisor, whose crash-restart loop is exactly the thing
-    the mutation-storm chaos job kills.
-    """
-
-    id = "RC010"
-    title = "engine function has no fault_point site"
-    scopes = (
-        "repro.engines.", "repro.serve.", "repro.obs.live.",
-        "repro.evolve.",
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            # An engine loop gathers edges or ticks a budget; a serve
-            # worker loop pops requests or runs two_phase directly; an
-            # obs.live background loop samples stacks or serves scrapes;
-            # the evolve supervisor's tick loop attempts rebuilds.
-            has_engine_loop = any(
-                isinstance(inner, ast.While)
-                and any(
-                    _call_named(c, "ragged_gather", "tick", "pop",
-                                "two_phase", "_sample_once",
-                                "handle_request", "_attempt")
-                    for c in _calls(inner)
-                )
-                for inner in ast.walk(node)
-            )
-            if not has_engine_loop:
-                continue
-            if not any(_call_named(c, "fault_point") for c in _calls(node)):
-                yield self.violation(
-                    ctx, node,
-                    f"{node.name}() drives an engine or worker loop but "
-                    "declares no fault_point site; crash/kill tests cannot "
-                    "reach it",
-                )
-
-
 #: The shipped rule set, in id order.
 ALL_RULES: Sequence[Rule] = (
-    RC001BudgetPoll(),
     RC002AtomicWrites(),
     RC003FloatValueEquality(),
     RC004OverbroadExcept(),
     RC005RegisteredNames(),
-    RC006KernelDeterminism(),
     RC007MutableDefaults(),
-    RC008ConnectivityPick(),
     RC009RuntimeErrorCatch(),
-    RC010FaultSite(),
 )
 
 

@@ -1,18 +1,17 @@
 """``repro.checks.race`` — whole-program concurrency analyzer.
 
-Where the RC001–RC010 lint rules are per-file pattern checks, this
-package reasons about the program: which methods run on which threads,
-which fields those threads share, which lock each shared field is
-guarded by, in what order locks nest, and whether paired resources
-(epoch pins, bare lock acquires, resilience budgets, journal file
-handles) balance on every path. Findings surface through the same
+Where the RC lint rules are per-file pattern checks, this package
+reasons about the program: which methods run on which threads, which
+fields those threads share, which lock each shared field is guarded by,
+which locks may be held around a blocking call, and whether paired
+resources (epoch pins, bare lock acquires, resilience budgets, journal
+file handles) balance on every path. Findings surface through the same
 :class:`~repro.checks.lint.framework.Violation` / ``# repro: noqa``
 machinery as the lint rules:
 
 ========  ==============================================================
 RC101     unguarded write to a shared field (no lock on any write path)
 RC102     inconsistent guards across writes, or a torn multi-word read
-RC103     lock-acquisition-order cycle / non-reentrant re-acquisition
 RC104     blocking call (fault point, I/O, sleep, join, wait) under a
           lock that may be held
 RC105     unbalanced resource pairing: leaked ``pin()``, bare
@@ -56,7 +55,6 @@ class RaceRule:
 RACE_RULES: Tuple[RaceRule, ...] = (
     RaceRule("RC101", "unguarded write to a shared field"),
     RaceRule("RC102", "inconsistent lock guards / torn multi-word read"),
-    RaceRule("RC103", "lock-acquisition-order cycle"),
     RaceRule("RC104", "blocking call under a held lock"),
     RaceRule("RC105", "unbalanced resource pairing (pin/acquire/budget/file)"),
 )

@@ -1,4 +1,4 @@
-"""Lock-discipline and deadlock-order analysis over a :class:`ProgramModel`.
+"""Lock-discipline and blocking-under-lock analysis over a :class:`ProgramModel`.
 
 Pipeline (all interprocedural, over the class-method call graph):
 
@@ -22,9 +22,8 @@ Pipeline (all interprocedural, over the class-method call graph):
    guard); a statement reading several fields guarded by the same lock
    without holding it is RC102 too (torn multi-word read).
 
-4. **Lock order.** A may-held fixpoint (union over call sites) labels
-   every acquisition with the locks possibly held around it; cycles in
-   the resulting order graph are RC103, and blocking calls (fault
+4. **Blocking.** A may-held fixpoint (union over call sites) gives the
+   locks possibly held at each method entry; blocking calls (fault
    points, file I/O, sleeps, joins, event waits) under any may-held lock
    are RC104.
 
@@ -44,7 +43,6 @@ from repro.checks.race.model import (
     Access,
     LockId,
     MethodKey,
-    MethodSummary,
     ProgramModel,
 )
 
@@ -70,7 +68,7 @@ def _is_public(name: str) -> bool:
 
 
 class RaceAnalysis:
-    """Runs the discipline/order passes; ``violations()`` is the result."""
+    """Runs the discipline/blocking passes; ``violations()`` is the result."""
 
     def __init__(self, model: ProgramModel) -> None:
         self.model = model
@@ -300,73 +298,8 @@ class RaceAnalysis:
         return out
 
     # ------------------------------------------------------------------
-    # Lock order + blocking
+    # Blocking under a lock
     # ------------------------------------------------------------------
-    def check_lock_order(self) -> List[Violation]:
-        edges: Dict[Tuple[LockId, LockId], Tuple[MethodSummary, int]] = {}
-        for key, summary in sorted(self.model.methods.items()):
-            for acq in summary.acquires:
-                context = self.entry_may.get(key, frozenset()) | acq.held
-                for held in context:
-                    edge = (held, acq.lock)
-                    if edge not in edges:
-                        edges[edge] = (summary, acq.line)
-        out: List[Violation] = []
-        adj: Dict[LockId, Set[LockId]] = defaultdict(set)
-        for a, b in edges:
-            if a != b:
-                adj[a].add(b)
-        reported: Set[FrozenSet[LockId]] = set()
-        for (a, b), (summary, line) in sorted(
-            edges.items(), key=lambda kv: (str(kv[1][0].path), kv[1][1])
-        ):
-            if a == b:
-                ci = self.model.resolve(a[0])
-                if ci is not None and not ci.reentrant(a[1]):
-                    out.append(Violation(
-                        rule="RC103",
-                        path=summary.path,
-                        line=line,
-                        message=(
-                            f"re-acquisition of non-reentrant lock "
-                            f"{_lock_name(a)} while already held "
-                            f"(self-deadlock)"
-                        ),
-                    ))
-                continue
-            if not self._reaches(adj, b, a):
-                continue
-            cyc = frozenset((a, b))
-            if cyc in reported:
-                continue
-            reported.add(cyc)
-            out.append(Violation(
-                rule="RC103",
-                path=summary.path,
-                line=line,
-                message=(
-                    f"lock-order cycle: {_lock_name(b)} is acquired "
-                    f"while holding {_lock_name(a)} here, but the "
-                    f"reverse order also occurs (deadlock potential)"
-                ),
-            ))
-        return out
-
-    @staticmethod
-    def _reaches(adj: Dict[LockId, Set[LockId]], src: LockId,
-                 dst: LockId) -> bool:
-        seen: Set[LockId] = set()
-        stack = [src]
-        while stack:
-            node = stack.pop()
-            if node == dst:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adj.get(node, ()))
-        return False
-
     def check_blocking(self) -> List[Violation]:
         out: List[Violation] = []
         for key, summary in sorted(self.model.methods.items()):
@@ -392,6 +325,5 @@ class RaceAnalysis:
     # ------------------------------------------------------------------
     def violations(self) -> List[Violation]:
         out = self.check_discipline()
-        out.extend(self.check_lock_order())
         out.extend(self.check_blocking())
         return out

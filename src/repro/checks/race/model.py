@@ -11,8 +11,8 @@ builds the facts the analysis passes consume:
   (``pin`` methods, file handles opened in ``__init__``);
 * a **method summary** per ``(class, method)`` — field accesses with the
   lock set held locally at each one, call edges with the held set at the
-  call site, lock acquisitions, blocking calls, and resource-pairing
-  events (``pin()`` uses, bare ``acquire``/``release``, budget claims).
+  call site, blocking calls, and resource-pairing events (``pin()`` uses,
+  bare ``acquire``/``release``, budget claims).
 
 The walker is flow-sensitive for ``with`` blocks (the held set is exact
 per statement) and tracks local aliases (``store = self.store``) through
@@ -37,7 +37,6 @@ LockId = Tuple[str, str]
 MethodKey = Tuple[str, str]
 
 _LOCK_CTORS = {"threading.Lock", "Lock", "threading.RLock", "RLock"}
-_RLOCK_CTORS = {"threading.RLock", "RLock"}
 _COND_CTORS = {"threading.Condition", "Condition"}
 _SYNC_CTORS = {
     "threading.Event", "Event",
@@ -94,10 +93,10 @@ class CallEdge:
 
 @dataclass(frozen=True)
 class Acquire:
+    """A bare ``lock.acquire()`` call (``with`` blocks pair themselves)."""
+
     lock: LockId
-    held: FrozenSet[LockId]
     line: int
-    via_with: bool
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,6 @@ class ClassInfo:
     path: Path
     line: int
     lock_fields: Set[str] = field(default_factory=set)
-    rlock_fields: Set[str] = field(default_factory=set)
     cond_fields: Set[str] = field(default_factory=set)
     sync_fields: Set[str] = field(default_factory=set)
     typed_fields: Dict[str, str] = field(default_factory=dict)
@@ -176,8 +174,6 @@ class ClassInfo:
     def lockish(self, name: str) -> bool:
         return name in self.lock_fields or name in self.cond_fields
 
-    def reentrant(self, name: str) -> bool:
-        return name in self.rlock_fields or name in self.cond_fields
 
 
 class ProgramModel:
@@ -310,8 +306,6 @@ class ProgramModel:
     ) -> None:
         if ctor in _LOCK_CTORS:
             ci.lock_fields.add(name)
-            if ctor in _RLOCK_CTORS:
-                ci.rlock_fields.add(name)
         elif ctor in _COND_CTORS:
             ci.cond_fields.add(name)
         elif ctor in _SYNC_CTORS:
@@ -599,10 +593,6 @@ class _MethodWalker:
         for item in node.items:
             lock = self._lock_id(item.context_expr)
             if lock is not None:
-                self.out.acquires.append(Acquire(
-                    lock, self._heldset(), item.context_expr.lineno,
-                    via_with=True,
-                ))
                 acquired.append(lock)
             elif (
                 isinstance(item.context_expr, ast.Call)
@@ -697,7 +687,7 @@ class _MethodWalker:
         lock = self._lock_id(func.value)
         if lock is not None and attr == "acquire":
             self.out.acquires.append(
-                Acquire(lock, self._heldset(), node.lineno, via_with=False)
+                Acquire(lock, node.lineno)
             )
         if lock is not None and attr == "release":
             self.out.releases.append(

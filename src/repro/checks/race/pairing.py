@@ -57,7 +57,7 @@ def check_pairing(model: ProgramModel) -> List[Violation]:
             r.lock for r in summary.releases if r.in_finally
         }
         for acq in summary.acquires:
-            if acq.via_with or acq.lock in released_in_finally:
+            if acq.lock in released_in_finally:
                 continue
             out.append(Violation(
                 rule=RULE,

@@ -9,13 +9,17 @@ import numpy as np
 
 from repro.graph.builder import from_arrays
 from repro.graph.csr import Graph
+from repro.resilience.atomic import atomic_open
 
 
 def write_edge_list(g: Graph, path: Union[str, Path]) -> None:
-    """Write ``g`` as whitespace-separated ``u v [w]`` lines."""
-    path = Path(path)
+    """Write ``g`` as whitespace-separated ``u v [w]`` lines.
+
+    Atomic: a write that fails part-way leaves any previous file at
+    ``path`` untouched.
+    """
     src = g.edge_sources()
-    with path.open("w") as fh:
+    with atomic_open(path) as fh:
         if g.is_weighted:
             for u, v, w in zip(src, g.dst, g.weights):
                 fh.write(f"{u} {v} {w:.10g}\n")

@@ -30,6 +30,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.checks import cli as checks_cli
 from repro.harness.config import default_config
 from repro.resilience.atomic import atomic_write_text
 from repro.harness.experiments import EXPERIMENTS, run_experiment
@@ -318,34 +319,6 @@ def _cmd_summarize(args) -> int:
     atomic_write_text(out, "\n".join(lines) + "\n")
     print(f"summarized {len(paths)} results -> {out}")
     return 0
-
-
-def _cmd_check(args) -> int:
-    """Static analysis, race analysis, noqa audit, sanitized smoke."""
-    from repro.checks.cli import (
-        run_races,
-        run_sanitize_smoke,
-        run_static,
-        run_strict_noqa,
-    )
-
-    static = args.static or not (
-        args.races or args.strict_noqa or args.sanitize_run
-    )
-    rc = 0
-    if static:
-        rc = run_static(args.paths or None, rules=args.rules,
-                        with_ruff=args.ruff, with_mypy=args.mypy,
-                        as_json=args.as_json)
-    if args.races:
-        rc = run_races(args.paths or None, rules=args.rules,
-                       as_json=args.as_json) or rc
-    if args.strict_noqa:
-        rc = run_strict_noqa(args.paths or None,
-                             as_json=args.as_json) or rc
-    if args.sanitize_run:
-        rc = run_sanitize_smoke() or rc
-    return rc
 
 
 def _cmd_serve(args) -> int:
@@ -956,30 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="static analysis (RC rules) and/or a sanitized smoke run",
         parents=[tele],
     )
-    chk_p.add_argument("--static", action="store_true",
-                       help="run the RC lint rules (default when no mode "
-                            "flag is given)")
-    chk_p.add_argument("--races", action="store_true",
-                       help="whole-program concurrency analyzer "
-                            "(RC101-RC105)")
-    chk_p.add_argument("--strict-noqa", action="store_true",
-                       dest="strict_noqa",
-                       help="fail on stale or unjustified "
-                            "'# repro: noqa' suppressions (RC100)")
-    chk_p.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit violations as one JSON object")
-    chk_p.add_argument("--sanitize-run", action="store_true",
-                       help="REPRO_SANITIZE smoke: sanitized two_phase of "
-                            "every query kind on the example dataset")
-    chk_p.add_argument("paths", nargs="*",
-                       help="files/directories to lint (default src/repro)")
-    chk_p.add_argument("--rule", action="append", dest="rules", metavar="RC",
-                       help="restrict lint to specific rule ids (repeatable)")
-    chk_p.add_argument("--ruff", action="store_true",
-                       help="also run ruff when installed")
-    chk_p.add_argument("--mypy", action="store_true",
-                       help="also run mypy when installed")
-    chk_p.set_defaults(func=_cmd_check)
+    checks_cli.add_arguments(chk_p)
+    chk_p.set_defaults(func=checks_cli.run)
 
     serve_p = sub.add_parser(
         "serve",

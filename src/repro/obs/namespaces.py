@@ -12,9 +12,9 @@ declared here, once. The catalog serves three consumers:
 * the run report (:mod:`repro.obs.report`) and the tests that pin work
   counts by name, which would stop seeing a series whose producer drifted.
 
-Adding an instrumentation point means adding its name here (and to the
-rule catalog table in ``docs/static-analysis.md``). That friction is the
-point: the name space is an interface, reviewed like one.
+Adding an instrumentation point means adding its name here. That
+friction is the point: the name space is an interface, reviewed like
+one.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 """Exit-code contract of the ``repro-coregraph check`` subcommand."""
 
-import json
 from pathlib import Path
 
 import pytest
@@ -27,9 +26,9 @@ def test_static_nonzero_on_seeded_violations(capsys):
 @pytest.mark.parametrize(
     "rel,rule_id",
     [
-        ("engines/rc001_no_budget_poll.py", "RC001"),
+        ("engines/rc003_float_equality.py", "RC003"),
         ("obs/rc002_raw_write.py", "RC002"),
-        ("queries/rc008_bad_pick.py", "RC008"),
+        ("obs/rc005_unregistered_names.py", "RC005"),
     ],
 )
 def test_static_nonzero_per_fixture(rel, rule_id, capsys):
@@ -62,6 +61,14 @@ def test_main_static_clean_tree(capsys):
     assert main(["--static", str(REPO_SRC)]) == 0
 
 
+def test_harness_check_is_the_same_front_door(capsys):
+    from repro.harness.cli import main as harness_main
+
+    assert harness_main(["check", "--rule", "RC009", str(FIXTURES)]) == 1
+    assert "RC009" in capsys.readouterr().out
+    assert harness_main(["check", "--races", str(REPO_SRC)]) == 0
+
+
 def test_sanitize_smoke_clean(capsys):
     assert run_sanitize_smoke() == 0
     out = capsys.readouterr().out
@@ -86,36 +93,9 @@ def test_races_zero_on_shipped_tree(capsys):
 
 
 def test_races_rule_filter(capsys):
-    # RC103 never fires in the RC101 mutant, so filtering cleans it.
+    # RC104 never fires in the RC101 mutant, so filtering cleans it.
     assert run_races([str(RACE_FIXTURES / "rc101_dropped_lock.py")],
-                     rules=["RC103"]) == 0
-
-
-# ----------------------------------------------------------------------
-# --json
-# ----------------------------------------------------------------------
-def test_json_output_is_machine_readable(capsys):
-    rel = RACE_FIXTURES / "rc103_lock_order_cycle.py"
-    assert main(["--races", "--json", str(rel)]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["count"] == len(payload["violations"]) > 0
-    first = payload["violations"][0]
-    assert set(first) == {"path", "line", "rule", "message"}
-    assert first["rule"] == "RC103"
-    assert isinstance(first["line"], int)
-
-
-def test_json_clean_tree_has_zero_count(capsys):
-    assert main(["--races", "--json", str(REPO_SRC)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == {"violations": [], "count": 0}
-
-
-def test_json_static_mode(capsys):
-    assert main(["--static", "--json",
-                 str(FIXTURES / "util" / "rc007_mutable_default.py")]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert {v["rule"] for v in payload["violations"]} == {"RC007"}
+                     rules=["RC104"]) == 0
 
 
 # ----------------------------------------------------------------------

@@ -18,16 +18,12 @@ FIXTURES = Path(__file__).parent / "fixtures" / "src" / "repro"
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 EXPECTED = {
-    "engines/rc001_no_budget_poll.py": "RC001",
     "engines/rc003_float_equality.py": "RC003",
-    "engines/rc006_nondeterminism.py": "RC006",
-    "engines/rc010_no_fault_site.py": "RC010",
     "obs/rc002_raw_write.py": "RC002",
     "obs/rc005_unregistered_names.py": "RC005",
     "util/rc004_overbroad_except.py": "RC004",
     "util/rc007_mutable_default.py": "RC007",
     "util/rc009_runtime_error.py": "RC009",
-    "queries/rc008_bad_pick.py": "RC008",
 }
 
 
@@ -52,18 +48,6 @@ def test_rc005_flags_each_name_kind():
     assert len(violations) == 3
 
 
-def test_rc008_flags_each_inconsistency():
-    violations = lint_file(FIXTURES / "queries/rc008_bad_pick.py")
-    assert len(violations) == 4  # bad MIN, bad MAX, bad unweighted, missing
-
-
-def test_rc006_flags_rng_and_clock_separately():
-    violations = lint_file(FIXTURES / "engines/rc006_nondeterminism.py")
-    probes = {v.message.split("(")[0] for v in violations}
-    assert any("default_rng" in v.message for v in violations)
-    assert any("perf_counter" in v.message for v in violations)
-
-
 def test_shipped_tree_is_clean():
     violations = run_lint([REPO_SRC])
     assert violations == [], render_report(violations)
@@ -78,8 +62,8 @@ def test_rule_scoping_excludes_other_packages(tmp_path):
 
 
 def test_infer_module_anchors_at_src():
-    path = FIXTURES / "engines" / "rc001_no_budget_poll.py"
-    assert infer_module(path) == "repro.engines.rc001_no_budget_poll"
+    path = FIXTURES / "engines" / "rc003_float_equality.py"
+    assert infer_module(path) == "repro.engines.rc003_float_equality"
 
 
 def test_noqa_line_suppression(tmp_path):
@@ -124,7 +108,7 @@ def test_render_report_summarizes_by_rule():
     violations = run_lint([FIXTURES])
     report = render_report(violations)
     assert "violation(s)" in report
-    assert "RC001" in report and "RC010" in report
+    assert "RC002" in report and "RC009" in report
 
 
 def test_rc004_allows_reraise(tmp_path):
@@ -146,16 +130,6 @@ def test_rc003_ignores_metadata_comparisons(tmp_path):
     out.parent.mkdir(parents=True)
     out.write_text("def f(vals, k, n):\n    return vals.shape != (k, n)\n")
     assert lint_file(out, rules=[rule_by_id("RC003")]) == []
-
-
-def test_rc006_allows_seeded_rng(tmp_path):
-    out = tmp_path / "src" / "repro" / "core" / "seeded.py"
-    out.parent.mkdir(parents=True)
-    out.write_text(
-        "import numpy as np\n"
-        "def f(seed):\n    return np.random.default_rng(seed)\n"
-    )
-    assert lint_file(out, rules=[rule_by_id("RC006")]) == []
 
 
 def test_rule_by_id_unknown_raises():

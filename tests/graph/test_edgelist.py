@@ -1,5 +1,7 @@
 """Tests for edge-list file I/O."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,24 @@ class TestRoundTrip:
         g = read_edge_list(path)
         assert not g.is_weighted
         assert g == g0
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, tiny_graph):
+        path = tmp_path / "g.txt"
+        write_edge_list(tiny_graph, path)
+        before = path.read_bytes()
+
+        def torn_dst():
+            yield 1
+            yield 2
+            raise OSError("disk full")
+
+        half = SimpleNamespace(
+            is_weighted=False, edge_sources=lambda: [0, 1, 2], dst=torn_dst()
+        )
+        with pytest.raises(OSError, match="disk full"):
+            write_edge_list(half, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
 
 
 class TestParsing:
