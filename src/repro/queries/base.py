@@ -143,10 +143,28 @@ class QuerySpec:
         return vals != init
 
     def values_equal(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Tolerant elementwise equality, treating equal infinities as equal."""
-        return np.isclose(a, b, rtol=self.rtol, atol=self.atol, equal_nan=False) | (
-            np.isinf(a) & np.isinf(b) & (np.sign(a) == np.sign(b))
-        )
+        """Tolerant elementwise equality: ``np.isclose(a, b, rtol, atol)``.
+
+        ``|a - b| <= atol + rtol * |b|`` for finite ``b``, or ``a == b``,
+        which is how equal infinities match. One pass, with the
+        temporaries reused in place.
+        """
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            # ``out=`` keeps scalar inputs a 0-d array, which ``abs`` can
+            # then overwrite in place.
+            diff = np.subtract(
+                a, b, out=np.empty(np.broadcast_shapes(a.shape, b.shape))
+            )
+            np.abs(diff, out=diff)
+            tol = np.abs(b)
+            tol *= self.rtol
+            tol += self.atol
+            close = np.less_equal(diff, tol)
+        close &= np.isfinite(b)
+        close |= np.equal(a, b)
+        return close[()]
 
     # ------------------------------------------------------------------
     # Initialization

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.identify import build_core_graph, solution_edge_mask
 from repro.engines.frontier import evaluate_query
 from repro.graph.builder import from_edges
@@ -108,6 +109,31 @@ class TestBuildCoreGraph:
         cg_vals = evaluate_query(cg.graph.reverse(), SSSP, hub)
         truth = evaluate_query(medium_graph.reverse(), SSSP, hub)
         assert np.array_equal(cg_vals, truth)
+
+    def test_hub_queries_are_traced_as_identification(
+        self, medium_graph, tmp_path
+    ):
+        """Hub queries run 2Phase but stay identification in the trace:
+        their engine runs are ``cg.hub_query``'s (a Completion run alone
+        for hub 1, a Core and a Completion run per direction after it),
+        each span says how many proxy edges its Core runs had, and no
+        served-query event or counter appears."""
+        with obs.telemetry(trace_path=tmp_path / "build.jsonl"):
+            cg = build_core_graph(
+                medium_graph, SSSP, num_hubs=4, track_growth=True
+            )
+            names = set(obs.REGISTRY.snapshot())
+        events = obs.read_events(tmp_path / "build.jsonl")
+        assert not [e for e in events if e.get("name") == "twophase.result"]
+        assert not {k for k in names if k.startswith("twophase.")
+                    or k.startswith("quality.") and "cg_" not in k}
+        rounds = [e for e in events if e["type"] == "rounds"]
+        assert {e["phase"] for e in rounds} == {"cg.hub_query"}
+        hubs = [e for e in events
+                if e["type"] == "span" and e["name"] == "cg.hub_query"]
+        proxy_edges = [e["proxy_edges"] for e in hubs]
+        assert proxy_edges == [0] + cg.growth[:-1].tolist()
+        assert len(rounds) == sum(4 if p else 2 for p in proxy_edges)
 
     def test_multi_source_rejected(self, medium_graph):
         with pytest.raises(ValueError, match="general core"):

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.builder import from_edges
+from repro.graph.builder import from_arrays, from_edges
+from repro.graph.csr import Graph
 from repro.graph.transform import (
     edge_subgraph,
     reverse,
@@ -77,3 +78,38 @@ def test_edge_subgraph_edge_count(data, seed):
     sub = edge_subgraph(g, mask)
     assert sub.num_edges == int(mask.sum())
     assert sub.num_vertices == n
+
+
+def edge_subgraph_oracle(g, keep):
+    """The row-expansion form: per-edge sources, then a bincount."""
+    src = g.edge_sources()[keep]
+    weights = None if g.weights is None else g.weights[keep]
+    counts = np.bincount(src, minlength=g.num_vertices)
+    offsets = np.zeros(g.num_vertices + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return Graph(offsets, g.dst[keep], weights)
+
+
+@given(
+    st.integers(1, 12), st.integers(0, 40), st.sampled_from(
+        ["random", "none", "all"]), st.booleans(), st.integers(0, 2**31 - 1)
+)
+@settings(max_examples=100, deadline=None)
+def test_edge_subgraph_matches_row_expansion(n, m, masking, weighted, seed):
+    """Byte-identical CSR arrays on multigraphs (pairs drawn with
+    repetition), rows left empty, and all-False / all-True masks."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    g = from_arrays(n, src, dst, rng.random(m) if weighted else None)
+    keep = {
+        "random": rng.random(m) < 0.5,
+        "none": np.zeros(m, dtype=bool),
+        "all": np.ones(m, dtype=bool),
+    }[masking]
+    sub, ref = edge_subgraph(g, keep), edge_subgraph_oracle(g, keep)
+    for a, b in ((sub.offsets, ref.offsets), (sub.dst, ref.dst)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if weighted:
+        assert sub.weights.tobytes() == ref.weights.tobytes()
+    else:
+        assert sub.weights is None

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.queries.base import Selection
 from repro.queries.specs import REACH, SSNP, SSSP, SSWP, VITERBI, WCC
@@ -38,6 +40,33 @@ class TestLattice:
         assert not SSSP.values_equal(
             np.array([np.inf]), np.array([-np.inf])
         )[0]
+
+    @pytest.mark.parametrize("spec", (SSSP, VITERBI), ids=lambda s: s.name)
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_values_equal_matches_isclose_form(self, spec, data):
+        """Against the ``isclose`` + same-signed-``isinf`` expression, on
+        the shapes its callers pass: two arrays, or an array and a scalar."""
+        special = st.sampled_from([
+            np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 2.2e-308,
+            1e308, -1e308, 1.0, 1.0 + 1e-12, 1.0 + 1e-6,
+        ])
+        value = st.one_of(special, st.floats(allow_nan=True))
+        n = data.draw(st.integers(1, 12))
+        a = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        b = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+        shape = data.draw(st.sampled_from(["arrays", "scalar_b", "scalar_a"]))
+        if shape == "scalar_b":
+            b = b[0]
+        elif shape == "scalar_a":
+            a = a[0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.isclose(
+                a, b, rtol=spec.rtol, atol=spec.atol, equal_nan=False
+            ) | (np.isinf(a) & np.isinf(b) & (np.sign(a) == np.sign(b)))
+        got = spec.values_equal(a, b)
+        assert np.shape(got) == np.shape(expected)
+        assert np.array_equal(got, expected)
 
     def test_saturated_only_for_reach(self):
         assert SSSP.saturated(np.zeros(3)) is None
