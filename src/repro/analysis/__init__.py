@@ -5,7 +5,6 @@ from repro.analysis.overlap import top_degree_overlap
 from repro.analysis.stats import graph_summary, GraphSummary
 from repro.analysis.traces import (
     Trace,
-    traces_from_journal,
     two_phase_trace,
     write_traces_csv,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "graph_summary",
     "GraphSummary",
     "Trace",
-    "traces_from_journal",
     "two_phase_trace",
     "write_traces_csv",
 ]

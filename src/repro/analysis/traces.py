@@ -12,10 +12,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
 from repro.engines.stats import RunStats
-from repro.obs.export import EventsOrPath, iteration_series
 from repro.resilience.atomic import atomic_open
 
 
@@ -37,29 +36,6 @@ class Trace:
             trace.updates.append(info.updates)
         return trace
 
-    @classmethod
-    def from_journal(
-        cls,
-        events: EventsOrPath,
-        phase: Optional[str] = None,
-        label: Optional[str] = None,
-    ) -> "Trace":
-        """Series of one phase's engine rounds from a telemetry journal
-        (parsed events or a ``.jsonl`` path).
-
-        ``phase`` selects by the events' span label (``twophase.core``,
-        ...); ``None`` takes events emitted outside any span. ``label``
-        defaults to the phase name.
-        """
-        series = iteration_series(events)
-        key = phase or "run"
-        trace = cls(label if label is not None else key)
-        for event in series.get(key, []):
-            trace.frontier_sizes.append(int(event["frontier"]))
-            trace.edges_scanned.append(int(event["edges_scanned"]))
-            trace.updates.append(int(event["updates"]))
-        return trace
-
     @property
     def iterations(self) -> int:
         return len(self.frontier_sizes)
@@ -67,19 +43,6 @@ class Trace:
     @property
     def total_edges(self) -> int:
         return sum(self.edges_scanned)
-
-
-def traces_from_journal(events: EventsOrPath) -> List[Trace]:
-    """All per-phase traces of a journal, in first-appearance order."""
-    traces = []
-    for key, its in iteration_series(events).items():
-        trace = Trace(key)
-        for event in its:
-            trace.frontier_sizes.append(int(event["frontier"]))
-            trace.edges_scanned.append(int(event["edges_scanned"]))
-            trace.updates.append(int(event["updates"]))
-        traces.append(trace)
-    return traces
 
 
 def two_phase_trace(result, labels=("core", "completion")) -> List[Trace]:

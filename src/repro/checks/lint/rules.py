@@ -85,9 +85,9 @@ _WRITE_ATTRS = ("save", "savez", "savez_compressed")
 class RC002AtomicWrites(Rule):
     """Raw writes in persistence layers can leave torn files after a crash.
 
-    Results, journals, baselines, WAL snapshots, and rebuild progress
-    files funnel through ``atomic_path``/``atomic_open`` (temp file +
-    ``os.replace``), so a reader never observes a truncated artifact.
+    Results, journals, baselines, and WAL snapshots funnel through
+    ``atomic_path``/``atomic_open`` (temp file + ``os.replace``), so a
+    reader never observes a truncated artifact.
     Within the persistence modules this rule flags write-mode ``open``,
     ``Path.write_text/bytes``, and ``np.save*`` calls whose target is not
     a name bound by an atomic context manager. ``summarize`` writing

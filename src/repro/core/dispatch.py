@@ -38,12 +38,11 @@ def build_cg(
         )
     track_growth = kwargs.pop("track_growth", False)
     budget = kwargs.pop("budget", None)
-    progress = kwargs.pop("progress", None)
     kwargs.pop("keep_hub_values", None)  # Algorithm 2 keeps no hub values
     if kwargs:
         raise TypeError(f"unsupported options for Algorithm 2: {sorted(kwargs)}")
     return build_unweighted_core_graph(
         g, num_hubs=num_hubs, hubs=hubs,
         connectivity=connectivity, track_growth=track_growth, spec=target,
-        budget=budget, progress=progress,
+        budget=budget,
     )

@@ -252,16 +252,14 @@ class EvolvingCoreGraph:
         self.rebuild()
         return True
 
-    def rebuild(self, budget=None, progress=None) -> None:
+    def rebuild(self, budget=None) -> None:
         """Re-identify the CG on the current graph (the one-time cost).
 
         ``budget`` (a :class:`repro.resilience.Budget`) bounds the hub
-        queries; ``progress(done, total)`` is invoked after each hub so a
-        supervised rebuilder can checkpoint between hubs.
+        queries.
         """
         self.cg = build_cg(
-            self.graph, self.spec, num_hubs=self.num_hubs,
-            budget=budget, progress=progress,
+            self.graph, self.spec, num_hubs=self.num_hubs, budget=budget,
         )
         self.stats.rebuilds += 1
         self.triangle_safe = True

@@ -102,7 +102,6 @@ def build_core_graph(
     track_selection: bool = False,
     include_backward: bool = True,
     budget=None,
-    progress=None,
 ) -> CoreGraph:
     """Algorithm 1: find the core graph of ``g`` for query kind ``spec``.
 
@@ -130,9 +129,6 @@ def build_core_graph(
         before each hub query so a bounded rebuild aborts between hubs
         (raising :class:`repro.resilience.BudgetExceeded`) instead of
         mid-traversal.
-    progress:
-        Optional ``progress(done, total)`` callback invoked after each hub
-        query — the hook supervised rebuilders use to checkpoint.
     """
     if spec.multi_source:
         raise ValueError(
@@ -159,7 +155,7 @@ def build_core_graph(
     build_span = span("cg.build", algorithm="weighted", query=spec.name,
                       num_hubs=len(hub_arr))
     with build_span:
-        for i, h in enumerate(hub_arr):
+        for h in hub_arr:
             h = int(h)
             if budget is not None:
                 budget.check_deadline("cg.build")
@@ -190,8 +186,6 @@ def build_core_graph(
                 hub_data.append(HubData(hub=h, forward=fvals, backward=bvals))
             if growth is not None:
                 growth.append(int(mask.sum()))
-            if progress is not None:
-                progress(i + 1, len(hub_arr))
 
         connectivity_added = 0
         if connectivity:

@@ -73,7 +73,6 @@ def build_unweighted_core_graph(
     track_growth: bool = False,
     spec: QuerySpec = REACH,
     budget=None,
-    progress=None,
 ) -> CoreGraph:
     """Algorithm 2: the general core graph serving REACH and WCC.
 
@@ -81,9 +80,8 @@ def build_unweighted_core_graph(
     traversals run on ``G^T`` and their edges are mapped back to the forward
     orientation (``E_C = E_f ∪ Reverse(E_b)``).
 
-    ``budget`` / ``progress`` behave as in
-    :func:`repro.core.identify.build_core_graph`: the deadline is checked
-    before each hub traversal and ``progress(done, total)`` fires after it.
+    ``budget`` behaves as in :func:`repro.core.identify.build_core_graph`:
+    the deadline is checked before each hub traversal.
     """
     if hubs is None:
         hub_arr = top_degree_vertices(g, num_hubs)
@@ -112,8 +110,6 @@ def build_unweighted_core_graph(
                 combined = fw_mask.copy()
                 combined[perm[np.flatnonzero(bw_mask)]] = True
                 growth.append(int(combined.sum()))
-            if progress is not None:
-                progress(i + 1, len(hub_arr))
 
         mask = fw_mask
         mask[perm[np.flatnonzero(bw_mask)]] = True

@@ -16,7 +16,7 @@ background:
 * :mod:`repro.evolve.certificate` — the staleness certificate attached to
   answers computed on a no-longer-latest epoch;
 * :mod:`repro.evolve.rebuild` — a supervised background rebuilder running
-  Algorithm 1/2 under a budget with checkpoints and crash retry;
+  Algorithm 1/2 under a budget with crash retry;
 * :mod:`repro.evolve.stream` — deterministic mutation-batch streams for
   tests, chaos runs, and benchmarks;
 * :mod:`repro.evolve.wal` — segmented CRC-checksummed write-ahead log of

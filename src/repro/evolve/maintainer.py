@@ -329,9 +329,7 @@ class EpochMaintainer:
         """The epoch a background rebuild should build against."""
         return self.store.current()
 
-    def build_proxy(
-        self, snapshot: Epoch, budget=None, progress=None
-    ) -> CoreGraph:
+    def build_proxy(self, snapshot: Epoch, budget=None) -> CoreGraph:
         """Run Algorithm 1/2 on ``snapshot``'s (immutable) graph.
 
         Called *without* the writer lock — mutation batches keep landing
@@ -345,7 +343,6 @@ class EpochMaintainer:
                 self.spec,
                 num_hubs=self.num_hubs,
                 budget=budget,
-                progress=progress,
             )
 
     def install_rebuild(
@@ -406,10 +403,10 @@ class EpochMaintainer:
             })
         return epoch
 
-    def rebuild(self, budget=None, progress=None) -> Epoch:
+    def rebuild(self, budget=None) -> Epoch:
         """Synchronous snapshot -> build -> install convenience."""
         snapshot = self.rebuild_snapshot()
-        proxy = self.build_proxy(snapshot, budget=budget, progress=progress)
+        proxy = self.build_proxy(snapshot, budget=budget)
         return self.install_rebuild(snapshot, proxy)
 
     # ------------------------------------------------------------------

@@ -1,13 +1,11 @@
-"""Supervised background core-graph rebuilds with checkpoints and retry.
+"""Supervised background core-graph rebuilds with crash retry.
 
 The rebuilder is a daemon thread shaped like the serve worker pool's
 supervisor: an outer supervise loop restarts the inner loop after a crash
 (capped exponential backoff), and the inner loop polls the maintainer's
 quality policy, running Algorithm 1/2 under a fresh
-:class:`~repro.resilience.budget.Budget` per attempt. Progress checkpoints
-(a small JSON state file, atomically replaced after every hub) let an
-operator see how far a crashed attempt got; a retry starts clean — hub
-queries are pure, so re-running them is correctness-free.
+:class:`~repro.resilience.budget.Budget` per attempt. A retry starts
+clean — hub queries are pure, so re-running them is correctness-free.
 
 Crash model: the ``evolve.rebuild`` fault point fires inside the build,
 ``evolve.swap`` inside publication, and ``evolve.supervisor.tick`` in the
@@ -17,16 +15,13 @@ answering on a consistent epoch, with the rebuild eventually landing.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.evolve.maintainer import EpochMaintainer
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
-from repro.resilience.atomic import atomic_open
 from repro.resilience.budget import Budget, BudgetExceeded
 from repro.resilience.faults import fault_point
 
@@ -58,9 +53,6 @@ class RebuildSupervisor:
         Called per attempt; returns the :class:`Budget` bounding it (or
         None for unbounded). Each attempt gets a fresh budget — budgets
         are single-claim.
-    checkpoint_path:
-        Where per-hub progress state is written (atomic JSON). None
-        disables checkpointing.
     backoff_base_s / backoff_max_s:
         Capped exponential backoff between crash restarts.
     """
@@ -70,16 +62,12 @@ class RebuildSupervisor:
         maintainer: EpochMaintainer,
         poll_interval_s: float = 0.02,
         budget_factory: Optional[Callable[[], Optional[Budget]]] = None,
-        checkpoint_path: Optional[Union[str, Path]] = None,
         backoff_base_s: float = 0.02,
         backoff_max_s: float = 1.0,
     ) -> None:
         self.maintainer = maintainer
         self.poll_interval_s = poll_interval_s
         self.budget_factory = budget_factory
-        self.checkpoint_path = (
-            None if checkpoint_path is None else Path(checkpoint_path)
-        )
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.stats = RebuildStats()
@@ -151,19 +139,12 @@ class RebuildSupervisor:
     def _attempt(self) -> bool:
         with self.stats._lock:
             self.stats.attempts += 1
-            attempt = self.stats.attempts
         snapshot = self.maintainer.rebuild_snapshot()
         budget = self.budget_factory() if self.budget_factory else None
         if budget is not None:
             budget.begin_run("evolve.rebuild")
-
-        def progress(done: int, total: int) -> None:
-            self._checkpoint(snapshot.number, attempt, done, total)
-
         try:
-            proxy = self.maintainer.build_proxy(
-                snapshot, budget=budget, progress=progress
-            )
+            proxy = self.maintainer.build_proxy(snapshot, budget=budget)
             epoch = self.maintainer.install_rebuild(snapshot, proxy)
         except BudgetExceeded as exc:
             # Bounded attempt ran out of budget: not a crash — count a
@@ -177,42 +158,7 @@ class RebuildSupervisor:
         with self.stats._lock:
             self.stats.rebuilds += 1
             self.stats.last_epoch = epoch.number
-        self._clear_checkpoint()
         return True
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def _checkpoint(
-        self, epoch: int, attempt: int, done: int, total: int
-    ) -> None:
-        if self.checkpoint_path is None:
-            return
-        state = {
-            "schema": "repro-evolve-rebuild/v1",
-            "epoch": epoch,
-            "attempt": attempt,
-            "hubs_done": done,
-            "hubs_total": total,
-        }
-        with atomic_open(self.checkpoint_path) as fh:
-            json.dump(state, fh)
-            fh.write("\n")
-        if obs_runtime._enabled:
-            obs_metrics.counter("resilience.checkpoint.saves").inc()
-
-    def _clear_checkpoint(self) -> None:
-        if self.checkpoint_path is not None:
-            try:
-                self.checkpoint_path.unlink()
-            except FileNotFoundError:
-                pass
-
-    def read_checkpoint(self) -> Optional[dict]:
-        """The last written progress state, or None."""
-        if self.checkpoint_path is None or not self.checkpoint_path.exists():
-            return None
-        return json.loads(self.checkpoint_path.read_text())
 
     def describe(self) -> str:
         s = self.stats

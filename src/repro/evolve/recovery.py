@@ -184,7 +184,9 @@ def recover(
 ) -> Tuple[EpochMaintainer, RecoveryReport]:
     """Reconstruct the pre-crash maintainer from ``wal_dir``.
 
-    ``spec`` defaults to the query spec named in the snapshot.
+    ``spec`` defaults to the query spec named in the snapshot; a spec
+    whose core graph kind differs from the snapshot's raises
+    :class:`RecoveryError` before the log is touched.
     ``to_epoch`` stops the replay at that epoch (point-in-time recovery).
     ``verify`` makes any fingerprint disagreement (or internal epoch
     inconsistency) raise :class:`RecoveryVerifyError` instead of being
@@ -200,10 +202,16 @@ def recover(
             f"{'(epoch <= %d) ' % to_epoch if to_epoch is not None else ''}"
             f"— nothing to replay onto"
         )
-    if spec is None:
-        from repro.queries.registry import get_spec
+    from repro.queries.registry import cg_spec_for, get_spec
 
+    if spec is None:
         spec = get_spec(snap.proxy.spec_name)
+    elif cg_spec_for(spec).name != snap.proxy.spec_name:
+        raise RecoveryError(
+            f"{spec.name} needs a {cg_spec_for(spec).name} core graph, but "
+            f"the snapshot of epoch {snap.number} holds a "
+            f"{snap.proxy.spec_name} one"
+        )
     records, torn = read_wal(wal_dir)
     report = RecoveryReport(
         wal_dir=str(wal_dir),

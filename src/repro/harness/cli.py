@@ -36,6 +36,15 @@ from repro.resilience.atomic import atomic_write_text
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.results import save_result
 
+# Fixed settings of the serve, evolve and obs top commands.
+LIVE_HUBS = 16  # live-graph CG hubs, also for rebuilds replayed on recovery
+STREAM_SEED = 11  # mutation stream of the serve and evolve demos
+SERVE_QUEUE_CAPACITY = 32  # admission bound; excess is shed as queue_full
+SERVE_BREAKER_COOLDOWN_S = 0.25  # breaker cooldown before a half-open probe
+SERVE_DRAIN_TIMEOUT_S = 120.0  # drain wait before declaring failure
+TOP_INTERVAL_S = 1.0  # obs top refresh period
+TOP_SCRAPE_TIMEOUT_S = 2.0  # obs top per-request scrape timeout
+
 
 def _cmd_list(_args) -> int:
     for exp_id in sorted(EXPERIMENTS):
@@ -345,25 +354,15 @@ def _cmd_serve(args) -> int:
     from repro.queries.registry import get_spec
     from repro.serve import QueryService, ServiceConfig
 
-    if not args.smoke:
-        print(
-            "the query service is in-process (a library, not a daemon); "
-            "run `repro-coregraph serve --smoke` for the self-checking "
-            "demo, or use repro.serve.QueryService directly",
-            file=sys.stderr,
-        )
-        return 2
     spec = get_spec(args.query)
     g = get_graph(args.graph)
     _emit_graph_loaded(args.graph.upper(), g)
     sources = get_sources(args.graph, k=min(args.requests, 16))
     cfg = ServiceConfig(
         workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        default_deadline_s=args.deadline,
+        queue_capacity=SERVE_QUEUE_CAPACITY,
         default_max_iterations=args.max_iters,
-        breaker_failure_threshold=args.breaker_failures,
-        breaker_cooldown_s=args.cooldown,
+        breaker_cooldown_s=SERVE_BREAKER_COOLDOWN_S,
     )
     maintainer = supervisor = churn_thread = None
     stop_churn = threading.Event()
@@ -379,7 +378,7 @@ def _cmd_serve(args) -> int:
         if args.wal:
             maintainer = _open_durable_maintainer(args, g, spec)
         else:
-            maintainer = EpochMaintainer(g, spec, num_hubs=args.hubs)
+            maintainer = EpochMaintainer(g, spec, num_hubs=LIVE_HUBS)
         supervisor = RebuildSupervisor(
             maintainer, poll_interval_s=args.mutate_interval
         )
@@ -390,12 +389,7 @@ def _cmd_serve(args) -> int:
         def churn() -> None:
             step = 0
             while not stop_churn.is_set():
-                batch = next_batch(
-                    maintainer.graph, step,
-                    batch_size=args.mutate_batch,
-                    delete_fraction=args.delete_fraction,
-                    seed=11,
-                )
+                batch = next_batch(maintainer.graph, step, seed=STREAM_SEED)
                 try:
                     maintainer.apply(batch.inserts, batch.deletes)
                     churn_stats["batches"] += 1
@@ -434,7 +428,7 @@ def _cmd_serve(args) -> int:
             )
             for i in range(args.requests)
         ]
-        drained = svc.drain(timeout=args.timeout)
+        drained = svc.drain(timeout=SERVE_DRAIN_TIMEOUT_S)
         elapsed = time.perf_counter() - start
         stop_churn.set()
         if churn_thread is not None:
@@ -511,7 +505,9 @@ def _open_durable_maintainer(args, g, spec):
     """
     from pathlib import Path
 
-    from repro.evolve import EpochMaintainer, WalWriter, recover
+    from repro.evolve import (
+        EpochMaintainer, RecoveryError, WalWriter, recover,
+    )
     from repro.evolve.snapshot import SnapshotStore
     from repro.evolve.wal import list_segments
 
@@ -521,16 +517,16 @@ def _open_durable_maintainer(args, g, spec):
         or SnapshotStore(wal_dir / "snapshots").paths()
     )
     if existing:
-        maintainer, report = recover(
-            wal_dir, spec, num_hubs=args.hubs, fsync=args.fsync,
-            snapshot_every=args.snapshot_every,
-        )
+        try:
+            maintainer, report = recover(
+                wal_dir, spec, num_hubs=LIVE_HUBS, fsync=args.fsync
+            )
+        except RecoveryError as exc:
+            raise SystemExit(f"recover FAILED: {exc}") from exc
         print(report.render())
         return maintainer
     maintainer = EpochMaintainer(
-        g, spec, num_hubs=args.hubs,
-        wal=WalWriter(wal_dir, fsync=args.fsync),
-        snapshot_every=args.snapshot_every,
+        g, spec, num_hubs=LIVE_HUBS, wal=WalWriter(wal_dir, fsync=args.fsync)
     )
     info = maintainer.durability()
     print(f"durability: wal dir={info['dir']} fsync={info['fsync']} "
@@ -541,26 +537,16 @@ def _open_durable_maintainer(args, g, spec):
 def _cmd_evolve_recover(args) -> int:
     """Rebuild the pre-crash epoch from a WAL directory and report it.
 
-    Exits non-zero when recovery cannot reach a consistent epoch: mid-log
-    corruption (typed ``CorruptWalError``), no usable snapshot, or — under
-    ``--verify`` — any fingerprint mismatch between a replayed epoch and
-    its WAL record.
+    The query spec is the one named in the snapshot. Exits non-zero when
+    recovery cannot reach a consistent epoch: mid-log corruption (typed
+    ``CorruptWalError``), no usable snapshot, or — under ``--verify`` —
+    any fingerprint mismatch between a replayed epoch and its WAL record.
     """
-    from repro.evolve import (
-        CorruptWalError,
-        RecoveryError,
-        recover,
-    )
-    from repro.queries.registry import get_spec
+    from repro.evolve import CorruptWalError, RecoveryError, recover
 
-    spec = get_spec(args.recover_query) if args.recover_query else None
     try:
         _, report = recover(
-            args.path, spec,
-            verify=args.verify,
-            to_epoch=args.to_epoch,
-            num_hubs=args.hubs,
-            attach=False,
+            args.path, verify=args.verify, num_hubs=LIVE_HUBS, attach=False
         )
     except (CorruptWalError, RecoveryError) as exc:
         print(f"recover FAILED: {exc}", file=sys.stderr)
@@ -575,9 +561,9 @@ def _cmd_evolve(args) -> int:
     Applies ``--batches`` insert/delete batches through an
     :class:`repro.evolve.EpochMaintainer` (each publishing a new epoch),
     prints the epoch history with probe precision, and — with
-    ``--rebuild`` — runs a supervised background rebuild under a budget
-    with checkpointed progress. Exits 1 if the final epoch's 2Phase
-    answer is not exact against a from-scratch evaluation.
+    ``--rebuild`` — runs a supervised background rebuild. Exits 1 if the
+    final epoch's 2Phase answer is not exact against a from-scratch
+    evaluation.
     """
     import time
 
@@ -588,7 +574,6 @@ def _cmd_evolve(args) -> int:
     from repro.evolve import EpochMaintainer, RebuildSupervisor, next_batch
     from repro.harness.cache import get_graph, get_sources
     from repro.queries.registry import get_spec
-    from repro.resilience.budget import Budget
 
     spec = get_spec(args.query)
     g = get_graph(args.graph)
@@ -597,21 +582,16 @@ def _cmd_evolve(args) -> int:
     if args.wal:
         maintainer = _open_durable_maintainer(args, g, spec)
     else:
-        maintainer = EpochMaintainer(g, spec, num_hubs=args.hubs)
+        maintainer = EpochMaintainer(g, spec, num_hubs=LIVE_HUBS)
     built = time.perf_counter() - t0
     epoch0 = maintainer.store.current()
     print(
         f"epoch {epoch0.number}: {epoch0.graph.num_edges} edges, "
         f"CG {epoch0.proxy.num_edges} edges "
-        f"({args.hubs} hubs, ready in {built:.2f}s)"
+        f"({LIVE_HUBS} hubs, ready in {built:.2f}s)"
     )
     for step in range(args.batches):
-        batch = next_batch(
-            maintainer.graph, step,
-            batch_size=args.batch_size,
-            delete_fraction=args.delete_fraction,
-            seed=args.seed,
-        )
+        batch = next_batch(maintainer.graph, step, seed=STREAM_SEED)
         epoch = maintainer.apply(batch.inserts, batch.deletes)
         print(
             f"epoch {epoch.number}: +{len(batch.inserts)} "
@@ -623,15 +603,7 @@ def _cmd_evolve(args) -> int:
     precision = maintainer.probe()
     print(f"probe precision after churn: {precision:.1f}%")
     if args.rebuild:
-        supervisor = RebuildSupervisor(
-            maintainer,
-            poll_interval_s=0.01,
-            budget_factory=(
-                None if args.deadline is None
-                else lambda: Budget(deadline_s=args.deadline)
-            ),
-            checkpoint_path=args.checkpoint,
-        )
+        supervisor = RebuildSupervisor(maintainer, poll_interval_s=0.01)
         supervisor.request_rebuild()
         supervisor.start()
         deadline = time.monotonic() + 60.0
@@ -761,7 +733,7 @@ def _cmd_obs_top(args) -> int:
     def fetch(path: str):
         try:
             with urllib.request.urlopen(
-                base + path, timeout=args.timeout
+                base + path, timeout=TOP_SCRAPE_TIMEOUT_S
             ) as resp:
                 return resp.status, resp.read().decode("utf-8")
         except urllib.error.HTTPError as exc:
@@ -837,7 +809,7 @@ def _cmd_obs_top(args) -> int:
         frames += 1
         if args.once:
             return 0
-        time.sleep(args.interval)
+        time.sleep(TOP_INTERVAL_S)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -937,28 +909,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent query service smoke: burst, drain, verify lost=0",
         parents=[tele],
     )
-    serve_p.add_argument("--smoke", action="store_true",
-                         help="run the self-checking burst demo")
     serve_p.add_argument("--graph", default="PK", help="zoo graph name")
     serve_p.add_argument("--query", default="SSSP")
     serve_p.add_argument("--requests", type=int, default=48,
                          help="burst size submitted before draining")
     serve_p.add_argument("--workers", type=int, default=4)
-    serve_p.add_argument("--queue-capacity", type=int, default=32,
-                         help="admission queue bound (excess is shed as "
-                              "typed queue_full rejections)")
-    serve_p.add_argument("--deadline", type=float, default=None,
-                         metavar="SECONDS", help="per-request deadline")
     serve_p.add_argument("--max-iters", type=int, default=None, metavar="N",
                          help="per-request iteration budget")
-    serve_p.add_argument("--breaker-failures", type=int, default=3,
-                         help="consecutive completion blowups that trip "
-                              "the breaker")
-    serve_p.add_argument("--cooldown", type=float, default=0.25,
-                         metavar="SECONDS", help="breaker cooldown before "
-                         "a half-open probe")
-    serve_p.add_argument("--timeout", type=float, default=120.0,
-                         help="drain timeout before declaring failure")
     serve_p.add_argument("--export-port", type=int, default=None,
                          metavar="PORT",
                          help="serve /metrics, /healthz, /statz on this "
@@ -971,20 +928,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="live-graph mode: apply mutation batches "
                               "concurrently with the burst (epoch-swapped "
                               "double buffering + background CG rebuilds)")
-    serve_p.add_argument("--mutate-batch", type=int, default=16,
-                         metavar="EDGES",
-                         help="edges mutated per batch in --mutate-stream")
-    serve_p.add_argument("--delete-fraction", type=float, default=0.25,
-                         metavar="FRAC",
-                         help="fraction of each mutation batch that "
-                              "deletes existing edges")
     serve_p.add_argument("--mutate-interval", type=float, default=0.005,
                          metavar="SECONDS",
                          help="pause between mutation batches (also the "
                               "rebuild supervisor's poll interval)")
-    serve_p.add_argument("--hubs", type=int, default=16,
-                         help="hubs for the CG built in --mutate-stream "
-                              "(static mode reuses the cached CG)")
     serve_p.add_argument("--wal", metavar="DIR", default=None,
                          help="durable live-graph mode: journal every "
                               "acknowledged batch to a WAL under DIR "
@@ -993,10 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="POLICY",
                          help="WAL fsync policy: always, never, or "
                               "group[:MS] (default always)")
-    serve_p.add_argument("--snapshot-every", type=int, default=8,
-                         metavar="N",
-                         help="full-graph snapshot every N epochs "
-                              "(anchors WAL compaction; 0 disables)")
     serve_p.set_defaults(func=_cmd_serve)
 
     evolve_p = sub.add_parser(
@@ -1008,31 +951,14 @@ def build_parser() -> argparse.ArgumentParser:
     evolve_p.add_argument("--query", default="SSSP")
     evolve_p.add_argument("--batches", type=int, default=10,
                           help="mutation batches to apply")
-    evolve_p.add_argument("--batch-size", type=int, default=16,
-                          metavar="EDGES", help="edges per batch")
-    evolve_p.add_argument("--delete-fraction", type=float, default=0.25,
-                          metavar="FRAC")
-    evolve_p.add_argument("--hubs", type=int, default=16,
-                          help="hubs for the initial and rebuilt CG")
-    evolve_p.add_argument("--seed", type=int, default=11,
-                          help="mutation stream seed")
     evolve_p.add_argument("--rebuild", action="store_true",
                           help="run a supervised rebuild after the churn")
-    evolve_p.add_argument("--checkpoint", metavar="PATH", default=None,
-                          help="rebuild progress checkpoint file")
-    evolve_p.add_argument("--deadline", type=float, default=None,
-                          metavar="SECONDS",
-                          help="per-attempt rebuild budget deadline")
     evolve_p.add_argument("--wal", metavar="DIR", default=None,
                           help="journal acknowledged batches to a WAL "
                                "under DIR (recovers an existing log)")
     evolve_p.add_argument("--fsync", default="always", metavar="POLICY",
                           help="WAL fsync policy: always, never, or "
                                "group[:MS] (default always)")
-    evolve_p.add_argument("--snapshot-every", type=int, default=8,
-                          metavar="N",
-                          help="full-graph snapshot every N epochs "
-                               "(0 disables periodic snapshots)")
     evolve_p.set_defaults(func=_cmd_evolve)
 
     evolve_sub = evolve_p.add_subparsers(dest="evolve_cmd")
@@ -1045,15 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
     recover_p.add_argument("--verify", action="store_true",
                            help="exit non-zero on any fingerprint "
                                 "mismatch or internal inconsistency")
-    recover_p.add_argument("--to-epoch", type=int, default=None,
-                           metavar="N",
-                           help="stop the replay at epoch N "
-                                "(point-in-time recovery)")
-    recover_p.add_argument("--query", dest="recover_query", default=None,
-                           help="query spec override (default: the spec "
-                                "named in the snapshot)")
-    recover_p.add_argument("--hubs", type=int, default=16,
-                           help="hubs for any replayed rebuild installs")
     recover_p.set_defaults(func=_cmd_evolve_recover)
 
     obs_p = sub.add_parser(
@@ -1096,13 +1013,9 @@ def build_parser() -> argparse.ArgumentParser:
         "top", help="live dashboard over a /metrics exporter endpoint")
     top_p.add_argument("endpoint", nargs="?", default="127.0.0.1:9179",
                        help="host:port (or URL) of a --export-port process")
-    top_p.add_argument("--interval", type=float, default=1.0,
-                       metavar="SECONDS", help="refresh period")
     top_p.add_argument("--once", action="store_true",
                        help="print a single frame and exit (no screen "
                             "clearing; what tests and scripts use)")
-    top_p.add_argument("--timeout", type=float, default=2.0,
-                       metavar="SECONDS", help="per-request scrape timeout")
     top_p.set_defaults(func=_cmd_obs_top)
     return parser
 

@@ -8,16 +8,16 @@ through:
 * :mod:`~repro.obs.metrics` — process-wide labeled counters/gauges/
   histograms (``engine.edges_scanned{phase="twophase.core"}``);
 * :mod:`~repro.obs.journal` — an append-only JSONL event stream per run,
-  opened with a manifest (config, graph shape, seed, git SHA, versions);
-* :mod:`~repro.obs.export` — journal -> ``results/*.json`` + CSV rollups.
+  opened with a manifest (config, graph shape, seed, git SHA, versions).
 
 On top of the substrate sit the analytics layers:
 
 * :mod:`~repro.obs.quality` — paper-grounded quality counters (CG edge
   fraction, phase-1 precision, Theorem 1 certificates, redundant
   relaxations);
-* :mod:`~repro.obs.report` — run summaries as terminal, self-contained
-  HTML and JSON reports (``repro-coregraph obs report``).
+* :mod:`~repro.obs.report` — the one journal rollup: run summaries as
+  terminal, self-contained HTML and JSON reports
+  (``repro-coregraph obs report``).
 
 Telemetry is disabled by default and every instrumentation point guards on
 :func:`is_enabled`, so the off path costs one flag check. Turn it on for a
@@ -36,9 +36,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Optional, Union
 
-from repro.obs import (
-    export, journal, metrics, quality, report, runtime, spans, trace,
-)
+from repro.obs import journal, metrics, quality, report, runtime, spans, trace
 from repro.obs.journal import Journal, build_manifest, emit, read_events
 from repro.obs.metrics import REGISTRY, counter, gauge, histogram
 from repro.obs.runtime import disable, enable, is_enabled
@@ -46,8 +44,7 @@ from repro.obs.spans import span
 from repro.obs.trace import TraceContext
 
 __all__ = [
-    "export", "journal", "metrics", "quality", "report", "runtime",
-    "spans", "trace",
+    "journal", "metrics", "quality", "report", "runtime", "spans", "trace",
     "Journal", "build_manifest", "emit", "read_events",
     "REGISTRY", "counter", "gauge", "histogram", "TraceContext",
     "disable", "enable", "is_enabled", "span", "telemetry", "reset",

@@ -320,9 +320,10 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
     return events
 
 
-def iter_events(
-    events_or_path: Union[str, Path, List[Dict[str, Any]]]
-) -> Iterator[Dict[str, Any]]:
+EventsOrPath = Union[str, Path, List[Dict[str, Any]]]
+
+
+def iter_events(events_or_path: EventsOrPath) -> Iterator[Dict[str, Any]]:
     """Iterate events given either a parsed list or a journal path."""
     if isinstance(events_or_path, (str, Path)):
         yield from read_events(events_or_path)

@@ -66,7 +66,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "quality.redundant_relaxations",
     # Resilience layer.
     "resilience.budget.exceeded",
-    "resilience.checkpoint.saves",
     "resilience.faults.injected",
     # Static-analysis / sanitizer layer.
     "checks.sanitize.violations",

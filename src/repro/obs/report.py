@@ -7,21 +7,104 @@ breakdown, the paper-grounded quality counters (:mod:`repro.obs.quality`)
 and a per-phase convergence digest. :func:`render_html` writes the same
 tables plus inline-SVG convergence curves as one file with no external
 assets, so it can ride along as a CI artifact; :func:`report_payload` is
-the same summary as one JSON-ready document.
+the same summary as one JSON-ready document. :func:`iteration_series`
+expands a journal's ``rounds`` events into per-round rows grouped by phase,
+the input of the convergence digest and curves.
 """
 
 from __future__ import annotations
 
 import html as _html
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import quality as obs_quality
-from repro.obs.export import EventsOrPath, iteration_series, manifest_of
-from repro.obs.journal import iter_events
+from repro.obs.journal import ROUND_COLUMNS, EventsOrPath, iter_events
 from repro.resilience.atomic import atomic_write_text
+
+
+def manifest_of(events: EventsOrPath) -> Dict[str, Any]:
+    """The journal's manifest event (first line), or an empty dict."""
+    for event in iter_events(events):
+        if event.get("type") == "manifest":
+            return event
+    return {}
+
+
+def _span_intervals(
+    events: List[Dict[str, Any]]
+) -> Dict[Any, List[Tuple[float, float, int, str]]]:
+    """Per-thread ``(start, end, depth, name)`` of every journaled span.
+
+    Spans journal on exit, carrying an explicit ``start_t`` (older journals
+    fall back to ``t - duration_s``, the emit time minus the duration).
+    """
+    intervals: Dict[Any, List[Tuple[float, float, int, str]]] = {}
+    for event in events:
+        if event.get("type") != "span" or "t" not in event:
+            continue
+        end = float(event["t"])
+        start = float(event.get("start_t", end - float(event.get("duration_s", 0.0))))
+        intervals.setdefault(event.get("thread"), []).append(
+            (start, end, int(event.get("depth", 0)), str(event.get("name")))
+        )
+    return intervals
+
+
+def _enclosing_span(
+    event: Dict[str, Any],
+    intervals: Dict[Any, List[Tuple[float, float, int, str]]],
+) -> Optional[str]:
+    """Innermost span on the event's own thread containing its timestamp."""
+    if "t" not in event:
+        return None
+    t = float(event["t"])
+    best: Optional[Tuple[int, str]] = None
+    for start, end, depth, name in intervals.get(event.get("thread"), ()):
+        if start <= t <= end and (best is None or depth > best[0]):
+            best = (depth, name)
+    return best[1] if best else None
+
+
+def _expand_rounds(event: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """One dict per round of a ``rounds`` event, keyed like its columns.
+
+    Each also carries the round's ``iteration`` index and the event's
+    ``engine``, ``phase``, ``thread`` and ``t``.
+    """
+    shared = {key: event.get(key) for key in ("engine", "phase", "thread", "t")}
+    columns = [event.get(name, ()) for name in ROUND_COLUMNS]
+    return [
+        {"iteration": k, **shared, **dict(zip(ROUND_COLUMNS, row))}
+        for k, row in enumerate(zip(*columns))
+    ]
+
+
+def iteration_series(
+    events: EventsOrPath,
+) -> "OrderedDict[str, List[Dict[str, Any]]]":
+    """Per-round engine work grouped by phase label, in seq order.
+
+    Each ``rounds`` event (one per engine run) expands into one dict per
+    round. The label is the event's recorded ``phase`` (the innermost span
+    open on the emitting thread when the run began). Events journaled
+    without one are attributed to the innermost journaled span *of their
+    own thread* whose interval contains the event, so journals that
+    interleave concurrent engines still split cleanly per phase. Events
+    enclosed by no span get the label ``"run"``.
+    """
+    events = list(iter_events(events))
+    intervals = _span_intervals(events)
+    series: "OrderedDict[str, List[Dict[str, Any]]]" = OrderedDict()
+    for event in events:
+        if event.get("type") != "rounds":
+            continue
+        label = event.get("phase") or _enclosing_span(event, intervals) or "run"
+        series.setdefault(label, []).extend(_expand_rounds(event))
+    return series
 
 
 @dataclass

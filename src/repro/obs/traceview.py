@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.obs.export import EventsOrPath
-from repro.obs.journal import iter_events
+from repro.obs.journal import EventsOrPath, iter_events
 from repro.resilience.atomic import atomic_write_text
 
 

@@ -4,7 +4,7 @@ POSIX ``os.replace`` within one filesystem is atomic, so readers (and the
 next process after a crash) only ever observe either the previous complete
 file or the new complete file — never a truncated artifact. Every persisted
 product in the repo (results JSON, journals, artifact npz, baselines,
-rebuild progress files, WAL snapshots) funnels through these helpers.
+WAL snapshots) funnels through these helpers.
 
 The rename is preceded by an fsync of the temp file: rename-atomicity
 alone only orders the *names*, not the *data* — after a power loss a

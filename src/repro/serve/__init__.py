@@ -17,7 +17,7 @@ overload and injected faults:
 
 Entry point: :class:`~repro.serve.service.QueryService`. See
 ``docs/robustness.md`` ("Serving under overload") for the operational
-story and ``repro-coregraph serve --smoke`` for a self-checking demo.
+story and ``repro-coregraph serve`` for a self-checking demo.
 """
 
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker

@@ -102,7 +102,7 @@ class ServiceStats:
         ]
 
     def render(self) -> str:
-        """Aligned text table (the ``serve --smoke`` report)."""
+        """Aligned text table (the ``repro-coregraph serve`` report)."""
         rows = self.to_dict()
         width = max(len(k) for k in rows)
         return "\n".join(

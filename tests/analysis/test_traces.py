@@ -5,7 +5,6 @@ import csv
 from repro.analysis.traces import (
     Trace,
     compare_convergence,
-    traces_from_journal,
     two_phase_trace,
     write_traces_csv,
 )
@@ -48,37 +47,6 @@ def test_compare_convergence(medium_graph):
     assert summary["baseline_iterations"] == baseline.iterations
     assert summary["two_phase_edges"] == result.total.edges_processed
     assert -100 <= summary["edge_reduction_pct"] <= 100
-
-
-def test_traces_from_journal_match_stats(tmp_path, medium_graph):
-    """A traced run yields the same series via journal as via RunStats."""
-    from repro import obs
-
-    cg = build_core_graph(medium_graph, SSSP, num_hubs=5)
-    path = tmp_path / "run.jsonl"
-    with obs.telemetry(trace_path=path):
-        result = two_phase(medium_graph, cg, SSSP, 3)
-    core_ref, completion_ref = two_phase_trace(result)
-    core = Trace.from_journal(path, phase="twophase.core", label="core")
-    completion = Trace.from_journal(
-        path, phase="twophase.completion", label="completion"
-    )
-    assert core.frontier_sizes == core_ref.frontier_sizes
-    assert core.edges_scanned == core_ref.edges_scanned
-    assert core.updates == core_ref.updates
-    assert completion.edges_scanned == completion_ref.edges_scanned
-
-    labels = [t.label for t in traces_from_journal(path)]
-    assert labels == ["twophase.core", "twophase.completion"]
-    obs.reset()
-
-
-def test_from_journal_unknown_phase_is_empty(tmp_path):
-    path = tmp_path / "empty.jsonl"
-    path.write_text('{"type": "manifest"}\n')
-    trace = Trace.from_journal(path, phase="nope")
-    assert trace.iterations == 0
-    assert trace.label == "nope"
 
 
 def test_csv_export(tmp_path, medium_graph):

@@ -1,4 +1,4 @@
-"""RebuildSupervisor: crash restart, budget retry, checkpoint lifecycle."""
+"""RebuildSupervisor: crash restart, budget retry, lifecycle."""
 
 import time
 
@@ -77,29 +77,6 @@ class TestSupervisedRebuild:
             sup.stop()
         assert sup.stats.retries >= 1
         assert sup.stats.supervisor_restarts == 0
-
-    def test_checkpoint_written_and_cleared(self, maintainer, tmp_path):
-        _churn(maintainer)
-        ck = tmp_path / "rebuild.json"
-        seen = {}
-
-        class Spy(RebuildSupervisor):
-            def _checkpoint(self, epoch, attempt, done, total):
-                super()._checkpoint(epoch, attempt, done, total)
-                seen.update(self.read_checkpoint() or {})
-
-        sup = Spy(maintainer, poll_interval_s=0.005, checkpoint_path=ck)
-        sup.request_rebuild()
-        sup.start()
-        try:
-            assert _wait(lambda: sup.stats.rebuilds >= 1)
-        finally:
-            sup.stop()
-        # Progress was checkpointed during the build...
-        assert seen.get("schema") == "repro-evolve-rebuild/v1"
-        assert seen.get("hubs_total", 0) >= seen.get("hubs_done", 0) > 0
-        # ...and cleared once the rebuild landed.
-        assert sup.read_checkpoint() is None
 
     def test_double_start_rejected(self, maintainer):
         sup = RebuildSupervisor(maintainer, poll_interval_s=0.005)

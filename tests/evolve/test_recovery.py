@@ -29,7 +29,7 @@ from repro.evolve.wal import WalRecord, list_segments
 from repro.generators.random_graphs import random_weighted_graph
 from repro.graph.mutate import MutationError
 from repro.io.errors import CorruptGraphError
-from repro.queries import SSSP
+from repro.queries import REACH, SSSP, SSWP, WCC
 
 
 def _rec(kind, epoch):
@@ -139,6 +139,30 @@ class TestRecover:
         m.wal.close()
         recovered, _ = recover(wal_dir, num_hubs=6, attach=False)
         assert recovered.spec.name == SSSP.name
+
+    def test_spec_of_another_cg_kind_is_refused(self, wal_dir):
+        m = _durable_maintainer(wal_dir)
+        _apply_batches(m, 2)
+        m.wal.close()
+        seg = list_segments(wal_dir)[-1]
+        with seg.open("ab") as fh:
+            fh.write(b"torn-partial-frame")
+        size = seg.stat().st_size
+        with pytest.raises(RecoveryError, match="SSWP needs a SSWP core"):
+            recover(wal_dir, SSWP, verify=True, num_hubs=6, attach=False)
+        # Refused before the log is touched: the torn tail is still there.
+        assert seg.stat().st_size == size
+
+    def test_wcc_recovers_over_the_reach_core_graph(self, wal_dir):
+        g = random_weighted_graph(120, 700, seed=21)
+        m = EpochMaintainer(g, REACH, num_hubs=6,
+                            wal=WalWriter(wal_dir, fsync="always"))
+        epochs = _apply_batches(m, 2)
+        m.wal.close()
+        recovered, _ = recover(wal_dir, WCC, verify=True, num_hubs=6,
+                               attach=False)
+        assert recovered.spec.name == WCC.name
+        assert recovered.store.current().number == epochs[-1].number
 
     def test_torn_tail_is_cut_and_reported(self, wal_dir):
         m = _durable_maintainer(wal_dir)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.harness.cli import build_parser, main
@@ -178,16 +180,6 @@ class TestTelemetry:
         assert obs.spans.records() == []
         assert obs.REGISTRY.snapshot() == {}
 
-    def test_journal_exports_to_bench_schema(self, tmp_path, capsys):
-        from repro.obs.export import export_bench_json
-
-        trace = tmp_path / "run.jsonl"
-        main(["query", "PK", "REACH", "3", "--trace", str(trace)])
-        payload = export_bench_json(trace, out=tmp_path / "bench.json")
-        assert payload["id"] == "run"
-        assert payload["headers"] == ["kind", "name", "count", "total",
-                                      "mean"]
-        assert any(r[0] == "iterations" for r in payload["rows"])
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +253,40 @@ class TestResilienceFlags:
         out = capsys.readouterr().out
         assert "direct evaluation" not in out
         assert "2phase via CG" in out
+
+
+class TestLiveCommands:
+    """PK runs of serve and evolve, checked for the lines CI greps."""
+
+    def test_serve_resolves_every_request(self, capsys):
+        assert main(["serve", "--requests", "16"]) == 0
+        assert "lost=0, unresolved=0" in capsys.readouterr().out
+
+    def test_serve_mutate_stream_sees_no_torn_epoch(self, capsys):
+        assert main(["serve", "--mutate-stream", "--requests", "16",
+                     "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "lost=0, unresolved=0" in out
+        assert "torn=0" in out
+
+    def test_evolve_rebuild_stays_exact(self, capsys):
+        assert main(["evolve", "--batches", "3", "--rebuild"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"rebuilds=[1-9]", out)
+        assert "exact vs from-scratch: True" in out
+
+    def test_evolve_wal_then_recover_verifies(self, tmp_path, capsys):
+        wal = str(tmp_path / "wal")
+        assert main(["evolve", "--batches", "3", "--wal", wal]) == 0
+        out = capsys.readouterr().out
+        assert "durability: wal" in out
+        assert "exact vs from-scratch: True" in out
+        assert main(["evolve", "recover", wal, "--verify"]) == 0
+        assert "verified        True" in capsys.readouterr().out
+
+    def test_evolve_wal_refuses_another_query_kind(self, tmp_path, capsys):
+        wal = str(tmp_path / "wal")
+        assert main(["evolve", "--batches", "1", "--wal", wal]) == 0
+        with pytest.raises(SystemExit, match="SSWP needs a SSWP core"):
+            main(["evolve", "--batches", "1", "--wal", wal,
+                  "--query", "SSWP"])

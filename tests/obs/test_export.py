@@ -1,9 +1,8 @@
-"""Journal -> BENCH json / CSV rollups."""
+"""Journal readers behind ``obs report``: manifest and per-round series."""
 
-import csv
 import json
 
-from repro.obs import export
+from repro.obs import report
 
 EVENTS = [
     {"type": "manifest", "git_sha": "a" * 40, "python": "3.11.7",
@@ -36,19 +35,19 @@ def _rounds(edges, **fields):
 
 
 def test_manifest_of():
-    assert export.manifest_of(EVENTS)["git_sha"] == "a" * 40
-    assert export.manifest_of([]) == {}
+    assert report.manifest_of(EVENTS)["git_sha"] == "a" * 40
+    assert report.manifest_of([]) == {}
 
 
 def test_iteration_series_groups_by_phase():
-    series = export.iteration_series(EVENTS)
+    series = report.iteration_series(EVENTS)
     assert list(series) == ["twophase.core", "run"]
     assert [e["edges_scanned"] for e in series["twophase.core"]] == [10, 30]
     assert [e["edges_scanned"] for e in series["run"]] == [7]
 
 
 def test_iteration_series_expands_rounds_with_todays_keys():
-    series = export.iteration_series(EVENTS)
+    series = report.iteration_series(EVENTS)
     assert series["twophase.core"] == [
         {"iteration": 0, "engine": "frontier", "phase": "twophase.core",
          "thread": 1, "t": 0.006, "frontier": 1, "edges_scanned": 10,
@@ -59,45 +58,6 @@ def test_iteration_series_expands_rounds_with_todays_keys():
     ]
     assert series["run"][0]["iteration"] == 0
     assert series["run"][0]["phase"] is None
-
-
-def test_summary_rows_cover_spans_iterations_metrics():
-    headers, rows = export.summary_rows(EVENTS)
-    assert headers == ["kind", "name", "count", "total", "mean"]
-    by_kind = {}
-    for row in rows:
-        by_kind.setdefault(row[0], []).append(row)
-    assert by_kind["span_ms"][0][:4] == ["span_ms", "twophase.core", 1, 2.0]
-    itr = {r[1]: r for r in by_kind["iterations"]}
-    assert itr["twophase.core"][2:4] == [2, 40]
-    assert itr["run"][2:4] == [1, 7]
-    metric_names = {r[1] for r in by_kind["metric"]}
-    assert 'engine.edges_scanned{phase="twophase.core"}' in metric_names
-    assert "hub.duration" in metric_names
-
-
-def test_export_bench_json_shape(tmp_path):
-    out = tmp_path / "bench.json"
-    payload = export.export_bench_json(EVENTS, out=out)
-    assert payload["id"] == "demo"  # from the manifest's journal_path
-    for key in ("id", "title", "paper_reference", "headers", "rows",
-                "notes", "config"):
-        assert key in payload
-    assert payload["config"] == {"num_hubs": 4}
-    assert json.loads(out.read_text()) == payload
-
-
-def test_export_bench_json_explicit_id():
-    assert export.export_bench_json(EVENTS, exp_id="x7")["id"] == "x7"
-
-
-def test_export_csv_matches_traces_schema(tmp_path):
-    out = export.export_csv(EVENTS, tmp_path / "trace.csv")
-    with out.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["label", "iteration", "frontier", "edges", "updates"]
-    assert rows[1] == ["twophase.core", "0", "1", "10", "4"]
-    assert rows[-1] == ["run", "0", "2", "7", "1"]
 
 
 def test_iteration_series_interleaved_threads_label_by_own_span():
@@ -122,7 +82,7 @@ def test_iteration_series_interleaved_threads_label_by_own_span():
         # a third thread with no span at all -> "run"
         _rounds([5], thread=333, seq=5, t=0.05),
     ]
-    series = export.iteration_series(events)
+    series = report.iteration_series(events)
     assert [e["edges_scanned"] for e in series["twophase.core"]] == [1, 3, 6]
     assert [e["iteration"] for e in series["twophase.core"]] == [0, 0, 1]
     assert [e["edges_scanned"] for e in series["twophase.completion"]] == [2, 4]
@@ -138,7 +98,7 @@ def test_iteration_series_prefers_innermost_span():
         _rounds([1], thread=1, seq=1, t=0.03),  # inside both
         _rounds([2], thread=1, seq=2, t=0.08),  # outer only
     ]
-    series = export.iteration_series(events)
+    series = report.iteration_series(events)
     assert [e["edges_scanned"] for e in series["inner"]] == [1]
     assert [e["edges_scanned"] for e in series["outer"]] == [2]
 
@@ -150,7 +110,7 @@ def test_iteration_series_span_start_falls_back_to_duration():
          "thread": 1, "seq": 10, "t": 0.06},  # implies [0.01, 0.06]
         _rounds([9], thread=1, seq=1, t=0.02),
     ]
-    series = export.iteration_series(events)
+    series = report.iteration_series(events)
     assert [e["edges_scanned"] for e in series["core"]] == [9]
 
 
@@ -159,5 +119,5 @@ def test_roundtrip_from_file(tmp_path):
     with path.open("w") as fh:
         for event in EVENTS:
             fh.write(json.dumps(event) + "\n")
-    payload = export.export_bench_json(path)
-    assert any(r[0] == "span_ms" for r in payload["rows"])
+    assert report.manifest_of(path)["git_sha"] == "a" * 40
+    assert list(report.iteration_series(path)) == ["twophase.core", "run"]

@@ -2,7 +2,7 @@
 
 Each ``push_iterations`` run bumps the six ``engine.*`` counters once, by
 its totals, and journals one ``rounds`` event with one column entry per
-round; :func:`repro.obs.export.iteration_series` expands it back into
+round; :func:`repro.obs.report.iteration_series` expands it back into
 per-round dicts. These tests pin the numbers to independent counts.
 """
 
@@ -15,7 +15,7 @@ from repro.core.twophase import two_phase
 from repro.engines.frontier import push_iterations
 from repro.engines.stats import RunStats
 from repro.graph.builder import from_arrays
-from repro.obs import export
+from repro.obs import report
 from repro.obs import runtime as obs_runtime
 from repro.queries.registry import get_spec
 from repro.resilience.budget import Budget, BudgetExceeded
@@ -151,7 +151,7 @@ def test_budget_abort_reports_the_rounds_that_ran(medium_graph, tmp_path, phase)
         for metric, column in COUNTERS:
             assert snapshot[metric + label] == sum(columns[column]), metric
 
-    series = export.iteration_series(events)
+    series = report.iteration_series(events)
     assert [e["edges_scanned"] for e in series[phase]] == (
         want[phase]["edges_scanned"]
     )
@@ -160,5 +160,5 @@ def test_budget_abort_reports_the_rounds_that_ran(medium_graph, tmp_path, phase)
     # it, so a reader that has only the span intervals labels it too.
     aborted = rounds[-1]
     aborted["phase"] = None
-    assert list(export.iteration_series(events)) == list(want)
+    assert list(report.iteration_series(events)) == list(want)
 

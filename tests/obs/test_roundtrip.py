@@ -2,18 +2,16 @@
 
 A traced 2Phase evaluation must be fully reconstructible from its journal:
 the ``twophase.result`` event and final metrics snapshot reproduce the live
-:class:`TwoPhaseResult`, and the per-iteration exports reproduce the live
+:class:`TwoPhaseResult`, and the per-iteration series reproduce the live
 :class:`RunStats` of each phase.
 """
-
-import csv
 
 import pytest
 
 from repro import obs
 from repro.core.dispatch import build_cg
 from repro.core.twophase import two_phase
-from repro.obs import export
+from repro.obs import report
 from repro.queries.registry import get_spec
 
 
@@ -68,7 +66,7 @@ def test_metrics_snapshot_matches_live_gauges(traced_run):
 
 def test_iteration_series_reproduces_per_phase_stats(traced_run):
     result, events = traced_run
-    series = export.iteration_series(events)
+    series = report.iteration_series(events)
     for label, stats in (
         ("twophase.core", result.phase1),
         ("twophase.completion", result.phase2),
@@ -82,34 +80,6 @@ def test_iteration_series_reproduces_per_phase_stats(traced_run):
         assert [i["frontier"] for i in its] == [
             info.frontier_size for info in stats.per_iteration
         ]
-
-
-def test_export_csv_reproduces_live_trace(traced_run, tmp_path):
-    result, events = traced_run
-    out = export.export_csv(events, tmp_path / "trace.csv")
-    with out.open() as fh:
-        rows = list(csv.DictReader(fh))
-    core = [r for r in rows if r["label"] == "twophase.core"]
-    completion = [r for r in rows if r["label"] == "twophase.completion"]
-    assert len(core) == result.phase1.iterations
-    assert len(completion) == result.phase2.iterations
-    assert sum(int(r["edges"]) for r in core) == result.phase1.edges_processed
-    assert sum(
-        int(r["edges"]) for r in completion
-    ) == result.phase2.edges_processed
-
-
-def test_export_bench_json_reproduces_iteration_rollup(traced_run):
-    result, events = traced_run
-    payload = export.export_bench_json(events, exp_id="roundtrip")
-    itr = {
-        row[1]: row for row in payload["rows"] if row[0] == "iterations"
-    }
-    assert itr["twophase.core"][2] == result.phase1.iterations
-    assert itr["twophase.core"][3] == result.phase1.edges_processed
-    assert itr["twophase.completion"][2] == result.phase2.iterations
-    span_names = {row[1] for row in payload["rows"] if row[0] == "span_ms"}
-    assert {"twophase.core", "twophase.completion"} <= span_names
 
 
 def test_journal_events_carry_thread_and_span_start(traced_run):
