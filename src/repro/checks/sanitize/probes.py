@@ -225,10 +225,8 @@ def audit_certified_fixed_point(
         stride = idx.size // max_samples
         idx = idx[::stride][:max_samples]
     rev = g.reverse()
-    from repro.graph.transform import reverse_edge_permutation
-
     weights = spec.weight_transform(g.edge_weights())
-    weights_rev = weights[reverse_edge_permutation(g)]
+    weights_rev = weights[g.reverse_index()]
     for v in idx:
         lo, hi = int(rev.offsets[v]), int(rev.offsets[v + 1])
         if lo == hi:

@@ -37,12 +37,10 @@ def build_cg(
             connectivity=connectivity, **kwargs,
         )
     track_growth = kwargs.pop("track_growth", False)
-    budget = kwargs.pop("budget", None)
     kwargs.pop("keep_hub_values", None)  # Algorithm 2 keeps no hub values
     if kwargs:
         raise TypeError(f"unsupported options for Algorithm 2: {sorted(kwargs)}")
     return build_unweighted_core_graph(
         g, num_hubs=num_hubs, hubs=hubs,
         connectivity=connectivity, track_growth=track_growth, spec=target,
-        budget=budget,
     )

@@ -252,15 +252,9 @@ class EvolvingCoreGraph:
         self.rebuild()
         return True
 
-    def rebuild(self, budget=None) -> None:
-        """Re-identify the CG on the current graph (the one-time cost).
-
-        ``budget`` (a :class:`repro.resilience.Budget`) bounds the hub
-        queries.
-        """
-        self.cg = build_cg(
-            self.graph, self.spec, num_hubs=self.num_hubs, budget=budget,
-        )
+    def rebuild(self) -> None:
+        """Re-identify the CG on the current graph (the one-time cost)."""
+        self.cg = build_cg(self.graph, self.spec, num_hubs=self.num_hubs)
         self.stats.rebuilds += 1
         self.triangle_safe = True
 

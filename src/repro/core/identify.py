@@ -27,11 +27,7 @@ from repro.core.twophase import phase2_frontier, run_completion
 from repro.engines.frontier import run_push
 from repro.graph.csr import Graph
 from repro.graph.degree import top_degree_vertices
-from repro.graph.transform import (
-    edge_subgraph,
-    reverse_edge_permutation,
-    with_weights,
-)
+from repro.graph.transform import edge_subgraph, with_weights
 from repro.obs import journal as obs_journal
 from repro.obs import quality as obs_quality
 from repro.obs import runtime as obs_runtime
@@ -101,7 +97,6 @@ def build_core_graph(
     track_growth: bool = False,
     track_selection: bool = False,
     include_backward: bool = True,
-    budget=None,
 ) -> CoreGraph:
     """Algorithm 1: find the core graph of ``g`` for query kind ``spec``.
 
@@ -124,11 +119,6 @@ def build_core_graph(
         Algorithm 1 does. Disabling it is the ablation of the paper's
         "forward and backward queries ... preserve pairwise reachability"
         argument; note the Theorem 1 certificates need backward values.
-    budget:
-        Optional :class:`repro.resilience.Budget`; its deadline is checked
-        before each hub query so a bounded rebuild aborts between hubs
-        (raising :class:`repro.resilience.BudgetExceeded`) instead of
-        mid-traversal.
     """
     if spec.multi_source:
         raise ValueError(
@@ -140,7 +130,7 @@ def build_core_graph(
     else:
         hub_arr = np.asarray(list(hubs), dtype=np.int64)
     grev = g.reverse()
-    perm = reverse_edge_permutation(g)
+    perm = g.reverse_index()
 
     fw_weights = spec.weight_transform(g.edge_weights())
     bw_weights = spec.weight_transform(grev.edge_weights())
@@ -157,8 +147,6 @@ def build_core_graph(
     with build_span:
         for h in hub_arr:
             h = int(h)
-            if budget is not None:
-                budget.check_deadline("cg.build")
             # Both queries use the CG of the hubs before this one.
             proxy_edges = int(np.count_nonzero(mask))
             proxy_mask = mask if proxy_edges else None

@@ -23,7 +23,7 @@ from repro.core.identify import DEFAULT_NUM_HUBS
 from repro.engines.frontier import ragged_gather
 from repro.graph.csr import Graph
 from repro.graph.degree import top_degree_vertices
-from repro.graph.transform import edge_subgraph, reverse_edge_permutation
+from repro.graph.transform import edge_subgraph
 from repro.obs import journal as obs_journal
 from repro.obs import quality as obs_quality
 from repro.obs import runtime as obs_runtime
@@ -72,23 +72,19 @@ def build_unweighted_core_graph(
     connectivity: bool = True,
     track_growth: bool = False,
     spec: QuerySpec = REACH,
-    budget=None,
 ) -> CoreGraph:
     """Algorithm 2: the general core graph serving REACH and WCC.
 
     Forward traversals run on ``g`` and mark edges directly; backward
     traversals run on ``G^T`` and their edges are mapped back to the forward
     orientation (``E_C = E_f ∪ Reverse(E_b)``).
-
-    ``budget`` behaves as in :func:`repro.core.identify.build_core_graph`:
-    the deadline is checked before each hub traversal.
     """
     if hubs is None:
         hub_arr = top_degree_vertices(g, num_hubs)
     else:
         hub_arr = np.asarray(list(hubs), dtype=np.int64)
     grev = g.reverse()
-    perm = reverse_edge_permutation(g)
+    perm = g.reverse_index()
 
     fw_mask = np.zeros(g.num_edges, dtype=bool)
     bw_mask = np.zeros(g.num_edges, dtype=bool)
@@ -101,8 +97,6 @@ def build_unweighted_core_graph(
     with build_span:
         for i, h in enumerate(hub_arr):
             s_id = i + 1  # 0 is the "unvisited" label
-            if budget is not None:
-                budget.check_deadline("cg.build")
             with span("cg.hub_traverse", hub=int(h)):
                 _qid_traverse(g, int(h), s_id, fw_qid, fw_mask)
                 _qid_traverse(grev, int(h), s_id, bw_qid, bw_mask)

@@ -35,7 +35,7 @@ from repro.checks.sanitize import probes as san_probes
 from repro.checks.sanitize import runtime as san_runtime
 from repro.engines.stats import IterationInfo, RunStats
 from repro.graph.csr import Graph
-from repro.graph.transform import reverse_edge_permutation, symmetrize
+from repro.graph.transform import symmetrize
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
@@ -61,7 +61,6 @@ DENSE_BLOCK_EDGES = 1 << 15
 PULL_EDGE_COST = 2
 
 _SYMMETRIC_CACHE: "WeakKeyDictionary[Graph, Graph]" = WeakKeyDictionary()
-_IN_EDGE_CACHE: "WeakKeyDictionary[Graph, np.ndarray]" = WeakKeyDictionary()
 # Single-flight guard: concurrent serve workers asking for the same
 # graph's derived view must not each pay (and race) building it.
 _VIEW_LOCK = threading.Lock()
@@ -77,31 +76,6 @@ def symmetric_view(g: Graph) -> Graph:
                 san_probes.check_symmetrized(g, sym, "engine.symmetric_view")
             _SYMMETRIC_CACHE[g] = sym
         return sym
-
-
-def in_edge_index(g: Graph) -> np.ndarray:
-    """For each edge of ``g.reverse()``, its index in ``g`` (cached).
-
-    A pull round reads edge values of ``g`` (weights) through it. Usually
-    this is :func:`reverse_edge_permutation`; when ``g`` is itself a
-    transpose, ``g.reverse()`` is the graph it came from, whose rows may be
-    in another order, so the index is matched to those rows instead.
-    Thread-safe.
-    """
-    with _VIEW_LOCK:
-        idx = _IN_EDGE_CACHE.get(g)
-        if idx is None:
-            rev = g.reverse()
-            idx = reverse_edge_permutation(g)
-            if not np.array_equal(rev.dst, g.edge_sources()[idx]):
-                # Pair the k-th edge of g sorted by (dst, src) with the
-                # k-th edge of rev sorted by (row, dst): same endpoints.
-                order = np.lexsort((rev.dst, rev.edge_sources()))
-                matched = np.empty_like(idx)
-                matched[order] = idx
-                idx = matched
-            _IN_EDGE_CACHE[g] = idx
-        return idx
 
 
 def ragged_gather(
@@ -349,7 +323,7 @@ def _pull_sweep(
     in-edges. Returns ``(edges_scanned, updates)``.
     """
     rev = g.reverse()
-    edge_of = in_edge_index(g)
+    edge_of = g.reverse_index()
     cuts = np.searchsorted(
         np.cumsum(in_deg), np.arange(DENSE_BLOCK_EDGES, in_sum, DENSE_BLOCK_EDGES)
     )

@@ -329,7 +329,7 @@ class EpochMaintainer:
         """The epoch a background rebuild should build against."""
         return self.store.current()
 
-    def build_proxy(self, snapshot: Epoch, budget=None) -> CoreGraph:
+    def build_proxy(self, snapshot: Epoch) -> CoreGraph:
         """Run Algorithm 1/2 on ``snapshot``'s (immutable) graph.
 
         Called *without* the writer lock — mutation batches keep landing
@@ -338,12 +338,7 @@ class EpochMaintainer:
         """
         fault_point("evolve.rebuild")
         with span("evolve.rebuild", epoch=snapshot.number):
-            return build_cg(
-                snapshot.graph,
-                self.spec,
-                num_hubs=self.num_hubs,
-                budget=budget,
-            )
+            return build_cg(snapshot.graph, self.spec, num_hubs=self.num_hubs)
 
     def install_rebuild(
         self,
@@ -403,10 +398,10 @@ class EpochMaintainer:
             })
         return epoch
 
-    def rebuild(self, budget=None) -> Epoch:
+    def rebuild(self) -> Epoch:
         """Synchronous snapshot -> build -> install convenience."""
         snapshot = self.rebuild_snapshot()
-        proxy = self.build_proxy(snapshot, budget=budget)
+        proxy = self.build_proxy(snapshot)
         return self.install_rebuild(snapshot, proxy)
 
     # ------------------------------------------------------------------

@@ -3,8 +3,7 @@
 The rebuilder is a daemon thread shaped like the serve worker pool's
 supervisor: an outer supervise loop restarts the inner loop after a crash
 (capped exponential backoff), and the inner loop polls the maintainer's
-quality policy, running Algorithm 1/2 under a fresh
-:class:`~repro.resilience.budget.Budget` per attempt. A retry starts
+quality policy and runs Algorithm 1/2 when it asks. A retry starts
 clean — hub queries are pure, so re-running them is correctness-free.
 
 Crash model: the ``evolve.rebuild`` fault point fires inside the build,
@@ -17,12 +16,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.evolve.maintainer import EpochMaintainer
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
-from repro.resilience.budget import Budget, BudgetExceeded
 from repro.resilience.faults import fault_point
 
 
@@ -33,7 +31,6 @@ class RebuildStats:
     attempts: int = 0
     rebuilds: int = 0
     failures: int = 0
-    retries: int = 0
     supervisor_restarts: int = 0
     last_error: str = ""
     last_epoch: Optional[int] = None
@@ -49,10 +46,6 @@ class RebuildSupervisor:
         The single writer whose quality policy decides when to rebuild.
     poll_interval_s:
         Inner-loop sleep between policy checks.
-    budget_factory:
-        Called per attempt; returns the :class:`Budget` bounding it (or
-        None for unbounded). Each attempt gets a fresh budget — budgets
-        are single-claim.
     backoff_base_s / backoff_max_s:
         Capped exponential backoff between crash restarts.
     """
@@ -61,13 +54,11 @@ class RebuildSupervisor:
         self,
         maintainer: EpochMaintainer,
         poll_interval_s: float = 0.02,
-        budget_factory: Optional[Callable[[], Optional[Budget]]] = None,
         backoff_base_s: float = 0.02,
         backoff_max_s: float = 1.0,
     ) -> None:
         self.maintainer = maintainer
         self.poll_interval_s = poll_interval_s
-        self.budget_factory = budget_factory
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.stats = RebuildStats()
@@ -125,40 +116,26 @@ class RebuildSupervisor:
             fault_point("evolve.supervisor.tick")
             forced = self._force.is_set()
             if forced or self.maintainer.needs_rebuild():
-                # The force flag survives a crashed or budget-aborted
-                # attempt, so a restarted supervisor retries the rebuild
-                # instead of dropping the request on the floor.
-                if self._attempt():
-                    self._force.clear()
+                # The force flag survives a crashed attempt, so a
+                # restarted supervisor retries the rebuild instead of
+                # dropping the request on the floor.
+                self._attempt()
+                self._force.clear()
             if self._stop.wait(self.poll_interval_s):
                 return
 
     # ------------------------------------------------------------------
     # One rebuild attempt
     # ------------------------------------------------------------------
-    def _attempt(self) -> bool:
+    def _attempt(self) -> None:
         with self.stats._lock:
             self.stats.attempts += 1
         snapshot = self.maintainer.rebuild_snapshot()
-        budget = self.budget_factory() if self.budget_factory else None
-        if budget is not None:
-            budget.begin_run("evolve.rebuild")
-        try:
-            proxy = self.maintainer.build_proxy(snapshot, budget=budget)
-            epoch = self.maintainer.install_rebuild(snapshot, proxy)
-        except BudgetExceeded as exc:
-            # Bounded attempt ran out of budget: not a crash — count a
-            # retry and let the next tick try again with a fresh budget.
-            with self.stats._lock:
-                self.stats.retries += 1
-                self.stats.last_error = f"BudgetExceeded: {exc}"
-            if obs_runtime._enabled:
-                obs_metrics.counter("evolve.rebuild.retries").inc()
-            return False
+        proxy = self.maintainer.build_proxy(snapshot)
+        epoch = self.maintainer.install_rebuild(snapshot, proxy)
         with self.stats._lock:
             self.stats.rebuilds += 1
             self.stats.last_epoch = epoch.number
-        return True
 
     def describe(self) -> str:
         s = self.stats
@@ -168,6 +145,6 @@ class RebuildSupervisor:
         with s._lock:
             return (
                 f"rebuilds={s.rebuilds} attempts={s.attempts} "
-                f"failures={s.failures} retries={s.retries} "
+                f"failures={s.failures} "
                 f"restarts={s.supervisor_restarts}"
             )

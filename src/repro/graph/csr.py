@@ -31,8 +31,8 @@ class Graph:
         for unweighted graphs, in which case every weight reads as ``1.0``.
     """
 
-    __slots__ = ("offsets", "dst", "weights", "_reverse", "_fingerprint",
-                 "__weakref__")
+    __slots__ = ("offsets", "dst", "weights", "_reverse", "_reverse_index",
+                 "_fingerprint", "__weakref__")
 
     def __init__(
         self,
@@ -60,6 +60,7 @@ class Graph:
         self.dst = dst
         self.weights = weights
         self._reverse: Optional["Graph"] = None
+        self._reverse_index: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -126,13 +127,35 @@ class Graph:
     # Derived graphs
     # ------------------------------------------------------------------
     def reverse(self) -> "Graph":
-        """The transpose graph G^T (cached)."""
+        """The transpose graph G^T (cached; its transpose is this graph)."""
         if self._reverse is None:
-            from repro.graph.transform import reverse as _reverse
+            from repro.graph.transform import transpose
 
-            self._reverse = _reverse(self)
-            self._reverse._reverse = self
+            rev, index = transpose(self)
+            # Publish the index before the link: a thread that sees
+            # self._reverse set then finds reverse_index() ready.
+            self._reverse_index = index
+            rev._reverse = self
+            self._reverse = rev
         return self._reverse
+
+    def reverse_index(self) -> np.ndarray:
+        """For each edge of :meth:`reverse`, its index in this graph (cached).
+
+        A graph whose transpose it built keeps the permutation that sort
+        used. A transpose reads the one kept by the graph it came from
+        (its own transpose) and inverts it, since its rows need not be in
+        the order a fresh sort would give.
+        """
+        rev = self.reverse()
+        if self._reverse_index is None:
+            built = rev._reverse_index
+            assert built is not None  # one side of every pair sorted
+            inverse = np.empty_like(built)
+            inverse[built] = np.arange(built.size, dtype=built.dtype)
+            # Benign race, as in fingerprint(): contenders agree.
+            self._reverse_index = inverse
+        return self._reverse_index
 
     # ------------------------------------------------------------------
     # Identity

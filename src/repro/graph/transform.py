@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -14,14 +14,20 @@ def reverse_edge_permutation(g: Graph) -> np.ndarray:
 
     ``reverse(g)`` stores the edge ``u -> v`` of ``g`` at transpose position
     ``j``; this function returns the array ``perm`` with ``perm[j]`` equal to
-    the edge's index in ``g``'s CSR arrays. Algorithm 1 uses it to translate
-    solution-path edges found by backward queries into forward edge ids.
+    the edge's index in ``g``'s CSR arrays. Algorithm 1 uses it (as
+    :meth:`Graph.reverse_index`) to translate solution-path edges found by
+    backward queries into forward edge ids.
     """
     return np.lexsort((g.edge_sources(), g.dst))
 
 
-def reverse(g: Graph) -> Graph:
-    """The transpose graph ``G^T`` (every edge ``u -> v`` becomes ``v -> u``)."""
+def transpose(g: Graph) -> Tuple[Graph, np.ndarray]:
+    """``reverse(g)`` and the permutation it was sorted by.
+
+    Edge ``j`` of the transpose is edge ``perm[j]`` of ``g`` reversed;
+    ``perm`` is :func:`reverse_edge_permutation`. :meth:`Graph.reverse`
+    keeps it as :meth:`Graph.reverse_index`, so it is sorted once.
+    """
     src = g.edge_sources()
     order = reverse_edge_permutation(g)
     rdst = src[order]
@@ -29,7 +35,12 @@ def reverse(g: Graph) -> Graph:
     counts = np.bincount(g.dst, minlength=g.num_vertices)
     offsets = np.zeros(g.num_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return Graph(offsets, rdst, rweights)
+    return Graph(offsets, rdst, rweights), order
+
+
+def reverse(g: Graph) -> Graph:
+    """The transpose graph ``G^T`` (every edge ``u -> v`` becomes ``v -> u``)."""
+    return transpose(g)[0]
 
 
 def symmetrize(g: Graph) -> Graph:

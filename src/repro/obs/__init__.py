@@ -5,8 +5,8 @@ through:
 
 * :mod:`~repro.obs.spans` — nested wall-time timers (2Phase phases, hub
   queries, CG builds);
-* :mod:`~repro.obs.metrics` — process-wide labeled counters/gauges/
-  histograms (``engine.edges_scanned{phase="twophase.core"}``);
+* :mod:`~repro.obs.metrics` — process-wide labeled counters, gauges and
+  streaming histograms (``engine.edges_scanned{phase="twophase.core"}``);
 * :mod:`~repro.obs.journal` — an append-only JSONL event stream per run,
   opened with a manifest (config, graph shape, seed, git SHA, versions).
 
@@ -38,7 +38,7 @@ from typing import Any, Iterator, Optional, Union
 
 from repro.obs import journal, metrics, quality, report, runtime, spans, trace
 from repro.obs.journal import Journal, build_manifest, emit, read_events
-from repro.obs.metrics import REGISTRY, counter, gauge, histogram
+from repro.obs.metrics import REGISTRY, counter, gauge
 from repro.obs.runtime import disable, enable, is_enabled
 from repro.obs.spans import span
 from repro.obs.trace import TraceContext
@@ -46,7 +46,7 @@ from repro.obs.trace import TraceContext
 __all__ = [
     "journal", "metrics", "quality", "report", "runtime", "spans", "trace",
     "Journal", "build_manifest", "emit", "read_events",
-    "REGISTRY", "counter", "gauge", "histogram", "TraceContext",
+    "REGISTRY", "counter", "gauge", "TraceContext",
     "disable", "enable", "is_enabled", "span", "telemetry", "reset",
 ]
 
@@ -55,7 +55,6 @@ def reset() -> None:
     """Clear accumulated spans and metrics (journals are per-run files)."""
     spans.reset()
     REGISTRY.reset()
-    trace.uninstall_collector()
 
 
 @contextmanager

@@ -57,6 +57,39 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
+_KEY_TYPES = frozenset({str, int})
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _plain_keys(value: Any) -> bool:
+    """Whether every dict key nested in ``value`` is a plain str or int."""
+    if isinstance(value, dict):
+        if not _KEY_TYPES.issuperset(map(type, value)):
+            return False
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return True
+    if _LEAF_TYPES.issuperset(map(type, value)):
+        return True
+    return all(_plain_keys(v) for v in value)
+
+
+def _encode(payload: Dict[str, Any]) -> str:
+    """One journal line: ``payload`` with each value passed through
+    :func:`_jsonable`, as JSON.
+
+    ``json.dumps`` calls :func:`_jsonable` only on what it cannot encode
+    itself (numpy values, dataclasses, paths, sets), so the common values
+    are not walked. The two differ only on nested dict keys, which the
+    walk writes as ``str(key)`` and ``json`` as ``true``/``null``/``NaN``
+    (or refuses), so a payload with a nested key that is not a plain str
+    or int is walked first.
+    """
+    if _plain_keys(payload):
+        return json.dumps(payload, default=_jsonable)
+    return json.dumps({k: _jsonable(v) for k, v in payload.items()})
+
+
 def git_sha() -> Optional[str]:
     """HEAD commit of the working tree, or None outside a git checkout."""
     try:
@@ -130,7 +163,7 @@ class Journal:
         self.emit(manifest if manifest is not None else {"type": "manifest"})
 
     def emit(self, event: Dict[str, Any]) -> None:
-        payload = {k: _jsonable(v) for k, v in event.items()}
+        payload = dict(event)
         payload.setdefault("thread", threading.get_ident())
         if "trace" not in payload:
             trace_id = trace.current_trace_id()
@@ -144,7 +177,7 @@ class Journal:
                 "t", round(time.perf_counter() - self._t0, 9)
             )
             self._seq += 1
-            self._fh.write(json.dumps(payload) + "\n")
+            self._fh.write(_encode(payload) + "\n")
 
     def rel_time(self, perf_t: float) -> float:
         """A ``perf_counter`` reading as this journal's elapsed seconds."""
@@ -266,28 +299,23 @@ def active_journal() -> Optional[Journal]:
 
 
 def emit(event: Dict[str, Any]) -> None:
-    """Append ``event`` to the active journal and feed the trace collector.
-
-    The journal append is a no-op when no journal is active, but the
-    trace-collector dispatch is not: an installed :class:`TraceStore`
-    still buffers trace-stamped events, which is what makes live traces
-    inspectable on services run without ``--trace``.
+    """Append ``event`` to the active journal (a no-op when none is active).
 
     ``type == "event"`` payloads are stamped with the ambient event
     context (see :func:`set_global_context` / :func:`context`) — how
     result events gain ``graph_epoch``/``graph_fingerprint`` without
-    threading those through every emitter's signature.
+    threading those through every emitter's signature — and every event
+    with the active trace id.
     """
+    journal = _active
+    if journal is None:
+        return
     event = _stamp_context(event)
     if "trace" not in event:
         trace_id = trace.current_trace_id()
         if trace_id is not None:
             event = {**event, "trace": trace_id}
-    if "trace" in event:
-        trace.dispatch(event)
-    journal = _active
-    if journal is not None:
-        journal.emit(event)
+    journal.emit(event)
 
 
 def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:

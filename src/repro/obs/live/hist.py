@@ -207,10 +207,10 @@ class HistogramSnapshot:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form: sparse buckets + summary + percentiles.
 
-        The shape is a superset of what the plain
-        :class:`repro.obs.metrics.Histogram` contributes to a metrics
-        snapshot (``count``/``sum``/``min``/``max``/``mean``), so journal
-        consumers handle both uniformly.
+        The summary keys (``count``/``sum``/``min``/``max``/``mean``) are
+        what :meth:`repro.obs.metrics.MetricsRegistry.render_table` and
+        journal consumers read; ``p50``/``p90``/... mark a streaming
+        histogram in a metrics snapshot.
         """
         pct = self.percentiles()
         out = {

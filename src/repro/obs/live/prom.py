@@ -25,9 +25,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.obs.live.hist import HistogramSnapshot, StreamingHistogram
 from repro.obs.metrics import LabelSet
 
-#: One exportable series: kind ("counter"/"gauge"/"histogram"/
-#: "stream_hist"), dotted name, frozen labels, and either a live metric
-#: object or a plain number.
+#: One exportable series: kind ("counter"/"gauge"/"stream_hist"), dotted
+#: name, frozen labels, and either a live metric object or a plain number
+#: (a streaming histogram or its snapshot for "stream_hist").
 Row = Tuple[str, str, LabelSet, object]
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -77,12 +77,11 @@ def _scalar(metric: object) -> Optional[float]:
     return float(value)  # type: ignore[arg-type]
 
 
-def _hist_snapshot(metric: object) -> Optional[HistogramSnapshot]:
-    if isinstance(metric, HistogramSnapshot):
-        return metric
+def _hist_snapshot(metric: object) -> HistogramSnapshot:
     if isinstance(metric, StreamingHistogram):
         return metric.snapshot()
-    return None
+    assert isinstance(metric, HistogramSnapshot), metric
+    return metric
 
 
 class _Family:
@@ -136,7 +135,7 @@ def render(rows: Iterable[Row]) -> str:
                     f"{fam.name}{_render_labels(labels)} "
                     f"{format_value(value)}"
                 )
-        elif kind in ("histogram", "stream_hist"):
+        elif kind == "stream_hist":
             fam = family(base, "histogram")
             if fam is None or labels in fam.series:
                 continue
@@ -158,34 +157,25 @@ def _histogram_lines(
     """``_bucket``/``_sum``/``_count`` lines for one histogram series."""
     lines: List[str] = []
     snap = _hist_snapshot(metric)
-    if snap is not None:
-        buckets = snap.cumulative_buckets()
-        count, total = snap.count, snap.total
-    else:
-        # A plain count/sum/min/max Histogram exports a single +Inf
-        # bucket: still a valid Prometheus histogram, just unbinned.
-        count = int(getattr(metric, "count", 0))
-        total = float(getattr(metric, "total", 0.0))
-        buckets = [(math.inf, count)]
-    exemplars = snap.exemplar_map() if snap is not None else {}
-    scheme = snap.scheme if snap is not None else None
-    for bound, cumulative in buckets:
+    exemplars = snap.exemplar_map()
+    for bound, cumulative in snap.cumulative_buckets():
         le = tuple(labels) + (("le", format_value(bound)),)
         line = f"{base}_bucket{_render_labels(le)} {cumulative}"
-        if exemplars and scheme is not None:
-            ex = _bucket_exemplar(scheme, exemplars, bound)
+        if exemplars:
+            ex = _bucket_exemplar(snap.scheme, exemplars, bound)
             if ex is not None:
                 tid, val = ex
                 # OpenMetrics-style exemplar suffix: jump from a latency
-                # bucket straight to a retained trace id.
+                # bucket to a trace id that ``obs trace`` renders from
+                # the run's journal.
                 line += (
                     f' # {{trace_id="{_escape_label(tid)}"}} '
                     f"{format_value(val)}"
                 )
         lines.append(line)
     rendered = _render_labels(labels)
-    lines.append(f"{base}_sum{rendered} {format_value(total)}")
-    lines.append(f"{base}_count{rendered} {count}")
+    lines.append(f"{base}_sum{rendered} {format_value(snap.total)}")
+    lines.append(f"{base}_count{rendered} {snap.count}")
     return lines
 
 

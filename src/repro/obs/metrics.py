@@ -2,7 +2,8 @@
 
 Metric identity is ``name`` plus a frozen label set, rendered Prometheus
 style: ``engine.edges_scanned{phase="core"}``. Counters accumulate, gauges
-hold the last value, histograms keep count/sum/min/max. Instrumented code
+hold the last value, streaming histograms keep log buckets with instant
+percentiles (:mod:`repro.obs.live.hist`). Instrumented code
 fetches the metric object once per run and updates it by the run's
 totals, so the registry lookup is off the hot path.
 
@@ -19,7 +20,7 @@ from repro.obs.live.hist import StreamingHistogram
 
 LabelSet = Tuple[Tuple[str, str], ...]
 
-MetricObject = Union["Counter", "Gauge", "Histogram", StreamingHistogram]
+MetricObject = Union["Counter", "Gauge", StreamingHistogram]
 
 
 def _label_key(labels: Dict[str, object]) -> LabelSet:
@@ -58,7 +59,7 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming count/sum/min/max of observed values."""
+    """Count/sum/min/max of observed values (the per-span rollup)."""
 
     __slots__ = ("count", "total", "min", "max")
 
@@ -88,7 +89,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: Dict[Tuple[str, LabelSet], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelSet], Gauge] = {}
-        self._histograms: Dict[Tuple[str, LabelSet], Histogram] = {}
         self._stream_hists: Dict[Tuple[str, LabelSet], StreamingHistogram] = {}
 
     def counter(self, name: str, **labels: object) -> Counter:
@@ -109,22 +109,11 @@ class MetricsRegistry:
                 metric = self._gauges[key] = Gauge()
                 return metric
 
-    def histogram(self, name: str, **labels: object) -> Histogram:
-        key = (name, _label_key(labels))
-        with self._lock:
-            try:
-                return self._histograms[key]
-            except KeyError:
-                metric = self._histograms[key] = Histogram()
-                return metric
-
     def stream_hist(self, name: str, **labels: object) -> StreamingHistogram:
         """A mergeable log-bucketed histogram with instant percentiles.
 
         Use for latency-style distributions that need p50/p95/p99 at any
-        moment (service latency, queue wait, per-span durations); the
-        plain :meth:`histogram` stays for cheap count/sum/min/max
-        accumulation.
+        moment (service latency, queue wait, per-span durations).
         """
         key = (name, _label_key(labels))
         with self._lock:
@@ -149,14 +138,6 @@ class MetricsRegistry:
                 out[format_metric(name, labels)] = c.value
             for (name, labels), g in self._gauges.items():
                 out[format_metric(name, labels)] = g.value
-            for (name, labels), h in self._histograms.items():
-                out[format_metric(name, labels)] = {
-                    "count": h.count,
-                    "sum": h.total,
-                    "min": h.min if h.count else None,
-                    "max": h.max if h.count else None,
-                    "mean": h.mean,
-                }
             stream_hists = list(self._stream_hists.items())
         # Streaming histograms snapshot under their own lock (their
         # to_dict walks buckets), so render them outside the registry's.
@@ -167,8 +148,7 @@ class MetricsRegistry:
     def collect(self) -> List[Tuple[str, str, LabelSet, MetricObject]]:
         """Every live metric as ``(kind, name, labels, metric)`` rows.
 
-        ``kind`` is one of ``counter``/``gauge``/``histogram``/
-        ``stream_hist``. The exporter renders from this, so it sees the
+        ``kind`` is one of ``counter``/``gauge``/``stream_hist``. The exporter renders from this, so it sees the
         metric objects themselves rather than a JSON projection.
         """
         with self._lock:
@@ -177,8 +157,6 @@ class MetricsRegistry:
                 rows.append(("counter", name, labels, c))
             for (name, labels), g in self._gauges.items():
                 rows.append(("gauge", name, labels, g))
-            for (name, labels), h in self._histograms.items():
-                rows.append(("histogram", name, labels, h))
             for (name, labels), sh in self._stream_hists.items():
                 rows.append(("stream_hist", name, labels, sh))
         return rows
@@ -187,7 +165,6 @@ class MetricsRegistry:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._histograms.clear()
             self._stream_hists.clear()
 
     def render_table(self) -> str:
@@ -216,10 +193,6 @@ def counter(name: str, **labels: object) -> Counter:
 
 def gauge(name: str, **labels: object) -> Gauge:
     return REGISTRY.gauge(name, **labels)
-
-
-def histogram(name: str, **labels: object) -> Histogram:
-    return REGISTRY.histogram(name, **labels)
 
 
 def stream_hist(name: str, **labels: object) -> StreamingHistogram:

@@ -94,15 +94,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "serve.workers_alive",
     "serve.lost",
     "serve.queue_depth",
-    # Request-scoped tracing: tail-sampler retention accounting
-    # (repro.obs.trace.TraceStore, exported by the query service).
-    "obs.trace.retained",
-    "obs.trace.dropped",
-    "obs.trace.evicted",
-    "obs.trace.abandoned",
-    "obs.trace.truncated",
-    "obs.trace.store.traces",
-    "obs.trace.store.events",
     # Live-graph epoch maintenance (repro.evolve): mutation batches,
     # epoch swaps, background rebuilds, and staleness accounting.
     "evolve.epoch",
@@ -112,7 +103,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset({
     "evolve.swaps",
     "evolve.rebuilds",
     "evolve.rebuild.failures",
-    "evolve.rebuild.retries",
     "evolve.stale_answers",
     "evolve.epoch_lag",
     "evolve.probe_precision",

@@ -157,14 +157,6 @@ class Budget:
         _record_exceeded(exc)
         raise exc
 
-    def check_deadline(self, site: str) -> None:
-        """Deadline-only check for non-iteration boundaries."""
-        self.start()
-        if self.deadline_s is not None:
-            elapsed = self.elapsed_s
-            if elapsed > self.deadline_s:
-                self._raise("deadline_s", site, elapsed, self.deadline_s)
-
     def tick(self, site: str, frontier_bytes: Optional[int] = None) -> None:
         """Account one completed iteration boundary and enforce all limits."""
         self.start()

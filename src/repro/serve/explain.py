@@ -8,11 +8,10 @@ ratio the Core Phase exploited, the Theorem-1 certified fraction, and the
 degraded/shed reason if any. It is built in
 :meth:`~repro.serve.service.QueryService._resolve` (the single place
 every request terminates) and is the request's one terminal record: the
-service tally, sampling verdict and root span are read off it, and it is
-journaled as a ``serve.explain`` event and
-attached to the request's retained trace in the
-:class:`~repro.obs.trace.TraceStore`, so ``obs explain <trace-id>``
-answers "why was *this* query slow/degraded/shed?" from one line.
+service tally and root span are read off it, and with telemetry on it is
+journaled as a ``serve.explain`` event, so ``obs explain <journal>
+<trace-id>`` answers "why was *this* query slow/degraded/shed?" from one
+line.
 """
 
 from __future__ import annotations
@@ -72,8 +71,6 @@ class ExplainRecord:
     degraded_phase: Optional[int] = None
     cg_edge_fraction: Optional[float] = None
     hubs: Optional[int] = None
-    sampled: Optional[bool] = None
-    sample_reason: Optional[str] = None
     graph_epoch: Optional[int] = None
     graph_fingerprint: Optional[str] = None
     staleness: Optional[Dict[str, Any]] = None
@@ -230,11 +227,5 @@ def render_explain(payload: Dict[str, Any]) -> str:
             f"lag={stale.get('epoch_lag')} "
             f"churned={stale.get('churned_edges')} "
             f"probe={'n/a' if probe is None else f'{probe:.1f}%'}",
-        )
-    if payload.get("sampled") is not None:
-        row(
-            "sampling",
-            f"retained={payload.get('sampled')} "
-            f"reason={payload.get('sample_reason')}",
         )
     return "\n".join(lines)

@@ -47,7 +47,6 @@ from repro.obs import runtime as obs_runtime
 from repro.obs import trace as obs_trace
 from repro.obs.live import prom
 from repro.obs.spans import span
-from repro.obs.trace import TraceStore
 from repro.queries.registry import get_spec
 from repro.resilience.budget import Budget
 
@@ -88,11 +87,6 @@ class ServiceConfig:
     triangle: bool = False
     breaker_failure_threshold: int = 3
     breaker_cooldown_s: float = 1.0
-    #: Tail-sampler tuning: retained-trace capacity, per-trace event cap,
-    #: and the healthy-traffic head-sampling rate (1 in N).
-    trace_capacity: int = 256
-    trace_max_events: int = 512
-    trace_head_every: int = 16
 
 
 class QueryService:
@@ -132,13 +126,6 @@ class QueryService:
         )
         self._pool = WorkerPool(self, self.config.workers)
         self._tally = Tally()
-        self.traces = TraceStore(
-            sampler=obs_trace.TailSampler(
-                head_every=self.config.trace_head_every,
-            ),
-            capacity=self.config.trace_capacity,
-            max_events_per_trace=self.config.trace_max_events,
-        )
         # Explain-record constants: the CG/full-graph edge ratio and hub
         # count are properties of the shared pair, computed once.
         self._num_vertices = int(g.num_vertices)
@@ -160,7 +147,6 @@ class QueryService:
     def start(self) -> "QueryService":
         if not self._started:
             self._started = True
-            obs_trace.install_collector(self.traces.record)
             self._pool.start()
         return self
 
@@ -212,8 +198,6 @@ class QueryService:
             self._tickets[req.id] = ticket
             self._outstanding += 1
             closed = self._closed
-        assert req.trace is not None
-        self.traces.begin(req.trace.trace_id)
         self._tally.inc("submitted")
 
         with obs_trace.use(req.trace):
@@ -401,8 +385,8 @@ class QueryService:
 
     def _account_and_finish(self, req: QueryRequest, outcome: Outcome) -> None:
         """Settle one terminal request: build its explain record once;
-        the tally, the sampling verdict, the root span and the journaled
-        wide event are all read off it."""
+        the tally, the root span and the journaled wide event are all
+        read off it."""
         rec = build_explain(
             req, outcome,
             breaker_state=str(self.breaker.snapshot()["state"]),
@@ -415,27 +399,10 @@ class QueryService:
             ),
         )
         self._tally.settle(rec)
-
-        # Close the trace: the tail sampler decides retention on the
-        # end-to-end latency, then the verdict is stamped back onto the
-        # (shared) explain dict so the retained trace and the journal
-        # both carry it.
-        explain = rec.to_dict()
-        sample_reason: Optional[str] = None
-        if req.trace is not None:
-            sample_reason = self.traces.finish(
-                req.trace.trace_id, rec.status,
-                latency_ms=rec.queue_wait_ms + rec.service_ms,
-                shed=rec.shed, explain=explain,
-            )
-        explain["sampled"] = sample_reason is not None
-        if sample_reason is not None:
-            explain["sample_reason"] = sample_reason
-
         if obs_runtime._enabled:
             self._emit_root_span(req, outcome)
             obs_journal.emit({
-                "type": "event", "name": "serve.explain", **explain,
+                "type": "event", "name": "serve.explain", **rec.to_dict(),
             })
 
     def _emit_root_span(self, req: QueryRequest, outcome: Outcome) -> None:
@@ -539,7 +506,6 @@ class QueryService:
                 ),
             )
         self._pool.stop(timeout)
-        obs_trace.uninstall_collector(self.traces.record)
         if obs_runtime._enabled:
             stats = self.stats()
             obs_journal.emit({
@@ -589,13 +555,9 @@ class QueryService:
     # Live observability plane (scrape exporter surfaces)
     # ------------------------------------------------------------------
     def statz(self) -> Dict[str, object]:
-        """The /statz document: service stats + trace store, always on."""
+        """The /statz document: service stats, always on."""
         doc = dict(self.stats().to_dict())
         doc["workers_alive"] = self._pool.alive_count()
-        doc["traces"] = {
-            **self.traces.stats(),
-            "recent": self.traces.recent(),
-        }
         return doc
 
     def healthz(self) -> Tuple[bool, Dict[str, object]]:
@@ -641,16 +603,6 @@ class QueryService:
                  wstats["compacted_segments"]),
                 ("gauge", "evolve.wal.segments", (), wstats["segments"]),
             ])
-        tstats = self.traces.stats()
-        rows.extend([
-            ("counter", "obs.trace.retained", (), tstats.get("retained", 0)),
-            ("counter", "obs.trace.dropped", (), tstats.get("dropped", 0)),
-            ("counter", "obs.trace.evicted", (), tstats.get("evicted", 0)),
-            ("counter", "obs.trace.truncated", (), tstats.get("truncated", 0)),
-            ("counter", "obs.trace.abandoned", (), tstats.get("abandoned", 0)),
-            ("gauge", "obs.trace.store.traces", (), tstats.get("traces", 0)),
-            ("gauge", "obs.trace.store.events", (), tstats.get("events", 0)),
-        ])
         return rows
 
     def start_exporter(self, port: int = 0, host: str = "127.0.0.1"):

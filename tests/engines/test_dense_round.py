@@ -25,7 +25,7 @@ from repro.core.triangle import supports_triangle
 from repro.core.twophase import two_phase
 from repro.datasets.zoo import load_zoo_graph
 from repro.engines import frontier as frontier_mod
-from repro.engines.frontier import in_edge_index, push_iterations
+from repro.engines.frontier import push_iterations
 from repro.graph.builder import from_arrays
 from repro.graph.csr import Graph
 from repro.graph.transform import reverse
@@ -189,7 +189,7 @@ def test_in_edge_index_follows_the_transpose_it_is_given():
     h = Graph(np.array([0, 3, 4, 5]), np.array([2, 1, 2, 0, 0]),
               np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
     for g in (h, h.reverse()):
-        rev, idx = g.reverse(), in_edge_index(g)
+        rev, idx = g.reverse(), g.reverse_index()
         assert sorted(idx.tolist()) == list(range(g.num_edges))
         assert np.array_equal(rev.dst, g.edge_sources()[idx])
         assert np.array_equal(rev.edge_sources(), g.dst[idx])

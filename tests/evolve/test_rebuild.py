@@ -1,11 +1,10 @@
-"""RebuildSupervisor: crash restart, budget retry, lifecycle."""
+"""RebuildSupervisor: crash restart and lifecycle."""
 
 import time
 
 import pytest
 
 from repro.evolve import RebuildSupervisor, next_batch
-from repro.resilience.budget import Budget
 from repro.resilience.faults import injected
 
 
@@ -54,29 +53,6 @@ class TestSupervisedRebuild:
         assert sup.stats.supervisor_restarts >= 1
         assert sup.stats.failures >= 1
         assert maintainer.store.current().triangle_safe
-
-    def test_budget_exceeded_counts_retry_not_crash(self, maintainer):
-        _churn(maintainer)
-        calls = {"n": 0}
-
-        def budgets():
-            calls["n"] += 1
-            # First attempt: an already-expired deadline. Later: roomy.
-            if calls["n"] == 1:
-                return Budget(deadline_s=0.0)
-            return Budget(deadline_s=60.0)
-
-        sup = RebuildSupervisor(
-            maintainer, poll_interval_s=0.005, budget_factory=budgets
-        )
-        sup.request_rebuild()
-        sup.start()
-        try:
-            assert _wait(lambda: sup.stats.rebuilds >= 1)
-        finally:
-            sup.stop()
-        assert sup.stats.retries >= 1
-        assert sup.stats.supervisor_restarts == 0
 
     def test_double_start_rejected(self, maintainer):
         sup = RebuildSupervisor(maintainer, poll_interval_s=0.005)

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.harness.cli import build_parser, main
+from repro.resilience.faults import injected
 
 
 def test_list(capsys):
@@ -290,3 +291,23 @@ class TestLiveCommands:
         with pytest.raises(SystemExit, match="SSWP needs a SSWP core"):
             main(["evolve", "--batches", "1", "--wal", wal,
                   "--query", "SSWP"])
+
+    def test_trace_round_trip(self, tmp_path, capsys):
+        """CI's trace smoke: a chaos serve run, then a degraded trace
+        picked, rendered with no orphans and explained from the journal."""
+        journal = str(tmp_path / "serve-traced.jsonl")
+        with injected("serve.worker.request", "crash", at_hit=3):
+            assert main(["serve", "--requests", "24", "--max-iters", "2",
+                         "--trace", journal]) == 0
+        assert "lost=0, unresolved=0" in capsys.readouterr().out
+        assert main(["obs", "trace", journal, "--pick", "degraded"]) == 0
+        tid = capsys.readouterr().out.strip()
+        assert tid.startswith("t")
+        assert main(["obs", "trace", journal, tid]) == 0
+        tree = capsys.readouterr().out
+        assert "serve.request" in tree and "serve.execute" in tree
+        assert "ORPHAN" not in tree
+        assert main(["obs", "explain", journal, tid]) == 0
+        explain = capsys.readouterr().out
+        assert "degraded" in explain and "max_iterations" in explain
+        assert "sampling" not in explain

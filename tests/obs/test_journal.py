@@ -1,13 +1,20 @@
 """JSONL journal round-trip and the telemetry context manager."""
 
 import json
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.dispatch import build_cg
+from repro.core.twophase import two_phase
+from repro.generators.random_graphs import random_weighted_graph
 from repro.obs import journal
 from repro.obs.journal import Journal, build_manifest, read_events
+from repro.queries import SSSP
+from repro.serve import QueryService, ServiceConfig
 
 
 def test_round_trip_write_parse(tmp_path):
@@ -180,3 +187,77 @@ class TestAmbientContext:
         events = self._record(tmp_path, emit)
         ev = next(e for e in events if e.get("name") == "e")
         assert "graph_epoch" not in ev
+
+
+def _walked(payload):
+    """A journal line as encoded by walking every value through
+    ``_jsonable`` before ``json.dumps``."""
+    return json.dumps({k: journal._jsonable(v) for k, v in payload.items()})
+
+
+@dataclass
+class _Point:
+    x: int
+    y: float
+
+
+_UNREPRESENTABLE = object()
+
+ENCODING_EDGE_CASES = {
+    "numpy_scalars": {
+        "i64": np.int64(3), "u8": np.uint8(7), "f32": np.float32(0.1),
+        "f64": np.float64(1.25), "b": np.bool_(True),
+    },
+    "numpy_arrays": {
+        "ints": np.arange(4), "floats": np.array([0.5, np.inf, np.nan]),
+        "matrix": np.zeros((2, 2)), "zero_d": np.array(3.0),
+        "in_list": [np.arange(2), np.float32(2.5)],
+    },
+    "dataclass": {"point": _Point(1, 2.5), "nested": [_Point(3, np.nan)]},
+    "path": {"path": Path("/a/b"), "in_dict": {"p": Path("x")}},
+    "set": {"set": {3, 1, 2}, "frozen": frozenset({"a"}), "empty": set()},
+    "non_finite": {
+        "nan": float("nan"), "inf": float("inf"), "ninf": -np.inf,
+        "nested": {"x": [np.float64("nan"), -float("inf")]},
+    },
+    "non_str_keys": {
+        "int": {1: "a", 2: "b"}, "numpy": {np.int64(1): 2},
+        "bool": {True: 1, False: 0}, "none": {None: 0},
+        "float": {1.5: 0, float("nan"): 1, float("inf"): 2},
+        "tuple": {(1, 2): 3}, "deep": [{"x": {False: 1}}],
+    },
+    "plain": {"tuple": (1, (2, "3")), "none": None, "text": "é\n\"q\""},
+    "repr_fallback": {"object": _UNREPRESENTABLE, "in_list": [_UNREPRESENTABLE]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENCODING_EDGE_CASES))
+def test_encode_matches_the_walk_on_edge_cases(case):
+    payload = {"type": "event", "name": case, **ENCODING_EDGE_CASES[case]}
+    assert journal._encode(payload) == _walked(payload)
+
+
+def test_encode_matches_the_walk_on_real_events(tmp_path, monkeypatch):
+    """Every line a traced two_phase and a traced service write: the
+    manifest, spans, ``rounds``, ``twophase.result``, ``serve.explain``."""
+    seen = []
+    encode = journal._encode
+    monkeypatch.setattr(
+        journal, "_encode", lambda payload: seen.append(payload) or encode(payload)
+    )
+    g = random_weighted_graph(200, 1600, seed=5)
+    cg = build_cg(g, SSSP, num_hubs=4)
+    with obs.telemetry(trace_path=tmp_path / "run.jsonl", config={"k": 1},
+                       graph=g, seed=3):
+        two_phase(g, cg, SSSP, 0, triangle=True)
+        with QueryService(g, cg, ServiceConfig(workers=2)) as svc:
+            for source in range(4):
+                svc.submit("SSSP", source=source, max_iterations=2 + source)
+            assert svc.drain(timeout=60.0)
+    kinds = {(p["type"], p.get("name")) for p in seen}
+    for kind in [("manifest", None), ("rounds", None), ("metrics", None),
+                 ("event", "twophase.result"), ("event", "serve.explain"),
+                 ("span", "twophase.core"), ("span", "serve.request")]:
+        assert kind in kinds, kind
+    for payload in seen:
+        assert encode(payload) == _walked(payload), payload["type"]

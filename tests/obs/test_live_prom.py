@@ -57,18 +57,6 @@ def test_stream_hist_renders_cumulative_buckets():
     )
 
 
-def test_plain_histogram_renders_single_inf_bucket():
-    class Plain:
-        count = 3
-        total = 12.0
-
-    text = prom.render([("histogram", "engine.iterations", (), Plain())])
-    parsed = prom.parse(text)
-    assert parsed["engine_iterations_bucket"][
-        'engine_iterations_bucket{le="+Inf"}'
-    ] == 3
-
-
 def test_dotted_names_sanitize():
     assert prom.sanitize("obs.live.span_ms") == "obs_live_span_ms"
     assert prom.sanitize("9lives") == "_9lives"

@@ -1,7 +1,7 @@
 """Metrics registry: identity, labels, aggregation, rendering."""
 
 from repro.obs import metrics
-from repro.obs.metrics import REGISTRY, format_metric
+from repro.obs.metrics import REGISTRY, Histogram, format_metric
 
 
 def test_counter_identity_is_name_plus_labels():
@@ -39,7 +39,7 @@ def test_gauge_keeps_last_value():
 
 
 def test_histogram_statistics():
-    h = REGISTRY.histogram("hub.duration")
+    h = Histogram()
     for v in (1.0, 3.0, 2.0):
         h.observe(v)
     assert h.count == 3
@@ -62,7 +62,7 @@ def test_format_metric_sorts_labels():
 
 def test_render_table_and_reset():
     REGISTRY.counter("c").inc(2)
-    REGISTRY.histogram("h").observe(1.5)
+    REGISTRY.stream_hist("h").observe(1.5)
     table = REGISTRY.render_table()
     assert "c" in table and "count=1" in table
     REGISTRY.reset()
@@ -74,5 +74,5 @@ def test_module_level_helpers_share_the_registry():
     metrics.counter("shared").inc()
     assert REGISTRY.aggregate("shared") == 1
     metrics.gauge("g").set(1.0)
-    metrics.histogram("hh").observe(2.0)
+    metrics.stream_hist("hh").observe(2.0)
     assert metrics.names(REGISTRY.snapshot()) >= {"shared", "g", "hh"}

@@ -1,20 +1,10 @@
-"""Trace context propagation, tail-based sampling, and the trace store."""
+"""Trace context propagation, journal stamping, and bucket exemplars."""
 
 import threading
 
 from repro import obs
 from repro.obs import metrics, spans, trace
 from repro.obs.live import prom
-from repro.obs.trace import (
-    RETAIN_DEGRADED,
-    RETAIN_FAILED,
-    RETAIN_HEAD,
-    RETAIN_SHED,
-    RETAIN_SLOW,
-    TailSampler,
-    TraceContext,
-    TraceStore,
-)
 
 
 class TestTraceContext:
@@ -22,27 +12,6 @@ class TestTraceContext:
         ids = {trace.new_span_id() for _ in range(1000)}
         assert len(ids) == 1000
         assert trace.new_trace_id().startswith("t")
-
-    def test_dict_round_trip(self):
-        ctx = trace.new_trace()
-        assert TraceContext.from_dict(ctx.to_dict()) == ctx
-
-    def test_env_round_trip(self):
-        ctx = trace.new_trace()
-        assert TraceContext.from_env(ctx.to_env()) == ctx
-
-    def test_from_env_without_trace_is_none(self):
-        assert TraceContext.from_env({}) is None
-
-    def test_from_env_defaults_span_to_trace_id(self):
-        ctx = TraceContext.from_env({trace.ENV_TRACE_ID: "t123"})
-        assert ctx == TraceContext("t123", "t123")
-
-    def test_child_rebases_the_owning_span(self):
-        ctx = trace.new_trace()
-        child = ctx.child("s99")
-        assert child.trace_id == ctx.trace_id
-        assert child.span_id == "s99"
 
     def test_use_scopes_the_current_context(self):
         assert trace.current() is None
@@ -75,42 +44,21 @@ class TestTraceContext:
 
 
 class TestJournalStamping:
-    def test_emit_stamps_active_trace_and_dispatches(self):
-        captured = []
-        trace.install_collector(captured.append)
+    def test_emit_stamps_active_trace(self, tmp_path):
         ctx = trace.new_trace()
-        with trace.use(ctx):
-            obs.emit({"type": "event", "name": "engine.iter", "k": 1})
-        trace.uninstall_collector()
-        assert captured == [
-            {"type": "event", "name": "engine.iter", "k": 1,
-             "trace": ctx.trace_id}
-        ]
+        with obs.telemetry(trace_path=tmp_path / "j.jsonl"):
+            with trace.use(ctx):
+                obs.emit({"type": "event", "name": "engine.iter", "k": 1})
+        (ev,) = [e for e in obs.read_events(tmp_path / "j.jsonl")
+                 if e.get("name") == "engine.iter"]
+        assert ev["k"] == 1 and ev["trace"] == ctx.trace_id
 
-    def test_emit_without_context_is_not_collected(self):
-        captured = []
-        trace.install_collector(captured.append)
-        obs.emit({"type": "event", "name": "engine.iter"})
-        trace.uninstall_collector()
-        assert captured == []
-
-    def test_collector_exceptions_never_escape(self):
-        def bomb(event):
-            raise RuntimeError("collector bug")
-
-        trace.install_collector(bomb)
-        with trace.use(trace.new_trace()):
+    def test_emit_without_context_is_not_stamped(self, tmp_path):
+        with obs.telemetry(trace_path=tmp_path / "j.jsonl"):
             obs.emit({"type": "event", "name": "engine.iter"})
-        trace.uninstall_collector()
-
-    def test_uninstall_only_removes_the_named_collector(self):
-        a, b = [], []
-        trace.install_collector(a.append)
-        trace.uninstall_collector(b.append)  # not installed: no-op
-        with trace.use(trace.new_trace()):
-            obs.emit({"type": "event", "name": "engine.iter"})
-        assert len(a) == 1
-        trace.uninstall_collector(a.append)
+        (ev,) = [e for e in obs.read_events(tmp_path / "j.jsonl")
+                 if e.get("name") == "engine.iter"]
+        assert "trace" not in ev
 
 
 class TestSpanParentage:
@@ -126,160 +74,27 @@ class TestSpanParentage:
         assert outer.parent_span_id == ctx.span_id
         assert inner.parent_span_id == outer.span_id
 
-    def test_cross_thread_spans_stitch_into_one_tree(self):
-        obs.enable()
+    def test_cross_thread_spans_stitch_into_one_tree(self, tmp_path):
         ctx = trace.new_trace()
-        captured = []
-        trace.install_collector(captured.append)
 
         def worker():
             with trace.use(ctx):
                 with obs.span("serve.execute"):
                     pass
 
-        with trace.use(ctx):
-            with obs.span("serve.admit"):
-                pass
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-        trace.uninstall_collector()
+        with obs.telemetry(trace_path=tmp_path / "j.jsonl"):
+            with trace.use(ctx):
+                with obs.span("serve.admit"):
+                    pass
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join()
+        captured = [e for e in obs.read_events(tmp_path / "j.jsonl")
+                    if e.get("type") == "span"]
         by_name = {e["name"]: e for e in captured}
         assert by_name["serve.admit"]["parent_span_id"] == ctx.span_id
         assert by_name["serve.execute"]["parent_span_id"] == ctx.span_id
         assert all(e["trace"] == ctx.trace_id for e in captured)
-
-
-class TestTailSampler:
-    def test_problem_outcomes_are_always_retained(self):
-        s = TailSampler(slow_ms=500.0, head_every=1 << 30)
-        assert s.decide("t1", "failed") == RETAIN_FAILED
-        assert s.decide("t1", "degraded") == RETAIN_DEGRADED
-        assert s.decide("t1", "done", shed=True) == RETAIN_SHED
-        assert s.decide("t1", "done", latency_ms=501.0) == RETAIN_SLOW
-
-    def test_healthy_fast_traffic_is_head_sampled(self):
-        s = TailSampler(slow_ms=500.0, head_every=4)
-        verdicts = [
-            s.decide(f"t{i}", "done", latency_ms=1.0) for i in range(400)
-        ]
-        kept = [v for v in verdicts if v is not None]
-        assert all(v == RETAIN_HEAD for v in kept)
-        # crc32 spreads uniformly: roughly 1 in 4, never all or none
-        assert 40 <= len(kept) <= 160
-
-    def test_head_sampling_is_deterministic_per_trace_id(self):
-        s = TailSampler(head_every=7)
-        for i in range(50):
-            tid = f"t{i}"
-            assert s.head_sampled(tid) == s.head_sampled(tid)
-
-    def test_head_every_one_keeps_everything(self):
-        s = TailSampler(head_every=1)
-        assert all(s.head_sampled(f"t{i}") for i in range(20))
-
-    def test_slow_threshold_can_be_disabled(self):
-        s = TailSampler(slow_ms=None, head_every=1 << 30)
-        assert s.decide("tx", "done", latency_ms=1e9) is None
-
-
-class TestTraceStore:
-    def _store(self, **kw):
-        kw.setdefault("sampler", TailSampler(slow_ms=None, head_every=1))
-        return TraceStore(**kw)
-
-    def test_begin_record_finish_round_trip(self):
-        store = self._store()
-        store.begin("t1")
-        store.record({"trace": "t1", "type": "event", "name": "a"})
-        store.record({"trace": "t2", "type": "event", "name": "ignored"})
-        reason = store.finish("t1", "done", latency_ms=3.0)
-        assert reason == RETAIN_HEAD
-        rec = store.get("t1")
-        assert rec is not None
-        assert [e["name"] for e in rec.events] == ["a"]
-        assert rec.status == "done"
-        assert store.stats()["retained"] == 1
-
-    def test_dropped_traces_free_their_buffers(self):
-        store = self._store(
-            sampler=TailSampler(slow_ms=None, head_every=1 << 30)
-        )
-        store.begin("t1")
-        store.record({"trace": "t1", "type": "event", "name": "a"})
-        assert store.finish("t1", "done", latency_ms=1.0) is None
-        assert store.get("t1") is None
-        stats = store.stats()
-        assert stats["dropped"] == 1
-        assert stats["in_flight"] == 0
-        assert stats["buffered_events"] == 0
-
-    def test_per_trace_event_cap_truncates_not_grows(self):
-        store = self._store(max_events_per_trace=3)
-        store.begin("t1")
-        for i in range(10):
-            store.record({"trace": "t1", "type": "event", "name": f"e{i}"})
-        store.finish("t1", "failed")
-        rec = store.get("t1")
-        assert len(rec.events) == 3
-        assert rec.truncated == 7
-        assert store.stats()["truncated"] == 7
-
-    def test_in_flight_cap_drops_stalest_buffer(self):
-        store = self._store(max_in_flight=2)
-        store.begin("t1")
-        store.begin("t2")
-        store.begin("t3")  # evicts t1's buffer
-        store.record({"trace": "t1", "type": "event", "name": "late"})
-        assert store.stats()["abandoned"] == 1
-        store.finish("t1", "failed")
-        assert store.get("t1").events == []
-
-    def test_eviction_prefers_head_samples_over_problem_traces(self):
-        store = self._store(capacity=4)
-        for i in range(4):
-            store.begin(f"head{i}")
-            store.finish(f"head{i}", "done", latency_ms=1.0)
-        # problem traces displace head samples, oldest first ...
-        for i in range(3):
-            store.begin(f"bad{i}")
-            store.finish(f"bad{i}", "failed")
-        ids = store.trace_ids()
-        assert [t for t in ids if t.startswith("bad")] == [
-            "bad0", "bad1", "bad2"
-        ]
-        assert sum(1 for t in ids if t.startswith("head")) == 1
-        # ... and with head samples exhausted, oldest problem trace goes
-        store.begin("bad3")
-        store.begin("bad4")
-        store.finish("bad3", "failed")
-        store.finish("bad4", "failed")
-        ids = store.trace_ids()
-        assert len(ids) == 4
-        assert "bad0" not in ids and "head3" not in ids
-        assert store.stats()["evicted"] == 5
-
-    def test_memory_stays_bounded_under_load(self):
-        store = self._store(capacity=8, max_events_per_trace=4)
-        for i in range(200):
-            tid = f"t{i}"
-            store.begin(tid)
-            for j in range(10):
-                store.record({"trace": tid, "type": "event", "name": "e"})
-            store.finish(tid, "failed" if i % 3 else "done", latency_ms=1.0)
-        stats = store.stats()
-        assert stats["traces"] <= 8
-        assert stats["events"] <= 8 * 4
-        assert stats["in_flight"] == 0
-        assert len(store.recent(5)) == 5
-
-    def test_clear_resets_everything(self):
-        store = self._store()
-        store.begin("t1")
-        store.finish("t1", "failed")
-        store.clear()
-        assert store.records() == []
-        assert store.stats()["traces"] == 0
 
 
 class TestExemplars:

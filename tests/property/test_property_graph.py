@@ -113,3 +113,46 @@ def test_edge_subgraph_matches_row_expansion(n, m, masking, weighted, seed):
         assert sub.weights.tobytes() == ref.weights.tobytes()
     else:
         assert sub.weights is None
+
+
+def _in_edge_index_oracle(g):
+    """Per edge of ``g.reverse()``, its index in ``g``, found by sorting:
+    ``reverse_edge_permutation(g)``, or, when ``g.reverse()``'s rows are
+    not in that order (``g`` is a transpose of a graph with unsorted
+    rows), the k-th edge of ``g`` by (dst, src) paired with the k-th edge
+    of ``g.reverse()`` by (row, dst)."""
+    rev = g.reverse()
+    idx = reverse_edge_permutation(g)
+    if not np.array_equal(rev.dst, g.edge_sources()[idx]):
+        order = np.lexsort((rev.dst, rev.edge_sources()))
+        matched = np.empty_like(idx)
+        matched[order] = idx
+        idx = matched
+    return idx
+
+
+@st.composite
+def csr_multigraphs(draw):
+    """CSR arrays taken as given: parallel edges with unequal weights,
+    self loops, empty rows, and rows whose destinations are unsorted."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    m = draw(st.integers(min_value=0, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    src = np.sort(rng.integers(0, n, m))
+    dst = rng.integers(0, n, m)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    return Graph(offsets, dst, rng.integers(1, 4, m).astype(float))
+
+
+@given(csr_multigraphs())
+@settings(max_examples=100, deadline=None)
+def test_reverse_index_matches_the_sorted_definition(g):
+    # g sorts to build its transpose; the transpose inverts that sort.
+    for h in (g.reverse(), g):
+        idx = h.reverse_index()
+        assert np.array_equal(idx, _in_edge_index_oracle(h))
+        rev = h.reverse()
+        assert np.array_equal(rev.dst, h.edge_sources()[idx])
+        assert np.array_equal(rev.edge_sources(), h.dst[idx])
+        assert np.array_equal(rev.edge_weights(), h.edge_weights()[idx])
+    assert g.reverse().reverse() is g
