@@ -26,6 +26,10 @@ The package is organized as a small stack of subsystems:
 ``repro.analysis`` / ``repro.harness``
     Experiment drivers that regenerate every table and figure.
 
+Importing the package fixes glibc's malloc thresholds (:mod:`repro.alloc`),
+so what a query's numpy temporaries cost does not depend on what the
+process freed before.
+
 Quickstart::
 
     from repro import Graph, build_core_graph, two_phase, SSSP
@@ -35,6 +39,7 @@ Quickstart::
     result = two_phase(g, cg, SSSP, source=0)
 """
 
+from repro.alloc import pin_thresholds
 from repro.graph import Graph, GraphBuilder
 from repro.queries import SSSP, SSWP, SSNP, VITERBI, REACH, WCC, QuerySpec
 from repro.engines import evaluate_query, RunStats
@@ -45,6 +50,8 @@ from repro.core import (
     two_phase,
     TwoPhaseResult,
 )
+
+pin_thresholds()
 
 __version__ = "1.0.0"
 
