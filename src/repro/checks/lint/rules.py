@@ -11,7 +11,6 @@ names that bug (see the seeded-bug census in ``docs/static-analysis.md``).
 Rule index
 ----------
 RC002  persistence writes must go through repro.resilience.atomic
-RC003  no ==/!= on value arrays in engines
 RC004  no bare/overbroad except that swallows exceptions
 RC005  metric/span/event names must be registered in repro.obs.namespaces
 RC007  no mutable default arguments
@@ -179,61 +178,6 @@ class RC002AtomicWrites(Rule):
             if kw.arg == "mode":
                 return _str_const(kw.value)
         return None
-
-
-# ---------------------------------------------------------------------------
-# RC003 — no ==/!= on float value arrays in engines
-# ---------------------------------------------------------------------------
-
-#: Identifiers conventionally holding per-vertex float value arrays.
-_VALUE_NAMES = frozenset({
-    "vals", "values", "dist", "cand", "old", "old_v", "new_vals",
-    "val_u", "val_v", "cg_vals",
-})
-
-
-class RC003FloatValueEquality(Rule):
-    """``==``/``!=`` on value arrays ignores the selection direction.
-
-    Engines decide whether a candidate improves a value with the query's
-    comparator (``spec.better``), which knows whether the query minimizes
-    or maximizes. ``cand != old`` is also true for *worse* candidates:
-    swapped in for ``spec.better`` in the batch engine it inflates the
-    update counts, and the test suite does not notice.
-    """
-
-    id = "RC003"
-    title = "float value arrays compared with ==/!="
-    scopes = ("repro.engines.",)
-
-    @staticmethod
-    def _value_root(node: ast.AST) -> Optional[str]:
-        """Root name of a value-array operand.
-
-        Only bare names and subscript chains (``vals``, ``vals[v]``) count;
-        attribute access (``vals.shape``, ``vals.dtype``) compares metadata,
-        not float values.
-        """
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        return node.id if isinstance(node, ast.Name) else None
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-                continue
-            operands = [node.left, *node.comparators]
-            for operand in operands:
-                root = self._value_root(operand)
-                if root in _VALUE_NAMES:
-                    yield self.violation(
-                        ctx, node,
-                        f"exact ==/!= on value array {root!r}; use the "
-                        "query's selection comparator (spec.better)",
-                    )
-                    break
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +425,6 @@ class RC009RuntimeErrorCatch(Rule):
 #: The shipped rule set, in id order.
 ALL_RULES: Sequence[Rule] = (
     RC002AtomicWrites(),
-    RC003FloatValueEquality(),
     RC004OverbroadExcept(),
     RC005RegisteredNames(),
     RC007MutableDefaults(),

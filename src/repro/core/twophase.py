@@ -34,7 +34,8 @@ BudgetReuseError` instead of silently inheriting another run's clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from functools import reduce
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -313,6 +314,31 @@ def two_phase(
     )
     _emit_result(spec, source, result, n, phase1_snapshot)
     return result
+
+
+def two_phase_batch(
+    g: Graph,
+    proxy: Union[CoreGraph, Graph],
+    spec: QuerySpec,
+    sources: Sequence[int],
+) -> TwoPhaseResult:
+    """:func:`two_phase` from each of ``sources``.
+
+    ``values`` is the ``(k, n)`` matrix of the per-source answers;
+    ``phase1``/``phase2`` and ``impacted`` add up the per-source runs. A
+    plain map over the one path. It exists only because the benchmark
+    suite's eight-source 2Phase rung imports it, and goes when ROADMAP
+    0(i) drops that rung.
+    """
+    if spec.multi_source:
+        raise ValueError("batched 2Phase applies to single-source queries")
+    runs = [two_phase(g, proxy, spec, int(s)) for s in sources]
+    return TwoPhaseResult(
+        values=np.stack([r.values for r in runs]),
+        phase1=reduce(RunStats.merged_with, (r.phase1 for r in runs)),
+        phase2=reduce(RunStats.merged_with, (r.phase2 for r in runs)),
+        impacted=sum(r.impacted for r in runs),
+    )
 
 
 def _emit_result(

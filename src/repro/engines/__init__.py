@@ -7,9 +7,9 @@ from repro.engines.frontier import (
     run_push,
     ragged_gather,
     is_fixed_point,
+    evaluate_batch,
 )
 from repro.engines.scalar import scalar_evaluate
-from repro.engines.batch import evaluate_batch
 
 __all__ = [
     "is_fixed_point",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -558,3 +558,18 @@ def evaluate_query(
     vals = spec.initial_values(g.num_vertices, source)
     frontier = spec.initial_frontier(g.num_vertices, source)
     return run_push(work, spec, vals, frontier, stats=stats, **kwargs)
+
+
+def evaluate_batch(
+    g: Graph, spec: QuerySpec, sources: Sequence[int]
+) -> np.ndarray:
+    """:func:`evaluate_query` from each of ``sources``, as a ``(k, n)`` matrix.
+
+    A plain map over the one engine. It exists only because the benchmark
+    suite's ``engines.batch8`` rung imports it, and goes when ROADMAP 0(i)
+    drops that rung.
+    """
+    if spec.multi_source:
+        raise ValueError(f"{spec.name} is already multi-source; batch "
+                         "evaluation applies to single-source queries")
+    return np.stack([evaluate_query(g, spec, int(s)) for s in sources])

@@ -325,7 +325,8 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
     killed before the closing rename), the partial stream is read instead.
     A ``.partial`` stream, whether named directly or found that way, has
     its torn final line — the one write a crash can truncate — dropped
-    rather than raised.
+    rather than raised. A bad line with events after it is corruption, not
+    a torn tail, and raises ``ValueError`` in a ``.partial`` stream too.
     """
     target = Path(path)
     if not target.exists():
@@ -333,18 +334,20 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
         if partial.exists():
             target = partial
     tolerant = target.suffix == ".partial"
-    events = []
     with target.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                if tolerant:
-                    break
+        lines = [line for line in map(str.strip, fh) if line]
+    events = []
+    for number, line in enumerate(lines, 1):
+        try:
+            events.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            if not tolerant:
                 raise
+            if number < len(lines):
+                raise ValueError(
+                    f"corrupt journal line in {target}: "
+                    f"{len(lines) - number} line(s) follow it"
+                ) from exc
     return events
 
 

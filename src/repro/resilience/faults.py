@@ -21,8 +21,7 @@ Faults come from two places:
 
 Known sites (grep for ``fault_point`` for ground truth):
 ``engine.frontier.iteration``, ``engine.scalar.pop``,
-``engine.batch.round``, ``twophase.core.begin``,
-``twophase.completion.begin``, ``io.load``,
+``twophase.core.begin``, ``twophase.completion.begin``, ``io.load``,
 ``journal.close``, ``serve.worker.request``,
 ``obs.live.exporter.serve``, ``graph.mutate.add``,
 ``graph.mutate.remove``, ``evolve.apply``, ``evolve.rebuild``,

@@ -26,7 +26,6 @@ def test_static_nonzero_on_seeded_violations(capsys):
 @pytest.mark.parametrize(
     "rel,rule_id",
     [
-        ("engines/rc003_float_equality.py", "RC003"),
         ("obs/rc002_raw_write.py", "RC002"),
         ("obs/rc005_unregistered_names.py", "RC005"),
     ],
@@ -42,9 +41,9 @@ def test_static_zero_on_shipped_tree(capsys):
 
 
 def test_static_rule_filter_excludes_other_rules(capsys):
-    # RC007 never fires in the engines fixtures, so filtering to it
+    # RC007 never fires in the obs fixtures, so filtering to it
     # turns a dirty tree into a clean run.
-    assert run_static([str(FIXTURES / "engines")], rules=["RC007"]) == 0
+    assert run_static([str(FIXTURES / "obs")], rules=["RC007"]) == 0
 
 
 def test_static_unknown_rule_raises():

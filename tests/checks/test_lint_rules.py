@@ -2,7 +2,7 @@
 
 The fixture tree mirrors the package layout under ``fixtures/src/repro``,
 so :func:`repro.checks.lint.framework.infer_module` assigns the fixtures
-the same dotted modules (``repro.engines.…``) as shipped code — scoping
+the same dotted modules (``repro.obs.…``) as shipped code — scoping
 is exercised for real, not bypassed.
 """
 
@@ -18,7 +18,6 @@ FIXTURES = Path(__file__).parent / "fixtures" / "src" / "repro"
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 EXPECTED = {
-    "engines/rc003_float_equality.py": "RC003",
     "obs/rc002_raw_write.py": "RC002",
     "obs/rc005_unregistered_names.py": "RC005",
     "util/rc004_overbroad_except.py": "RC004",
@@ -54,16 +53,16 @@ def test_shipped_tree_is_clean():
 
 
 def test_rule_scoping_excludes_other_packages(tmp_path):
-    # The same RC003 pattern outside repro.engines. must not fire.
-    out = tmp_path / "src" / "repro" / "analysis" / "notengine.py"
+    # The same RC002 raw write outside the persistence layers must not fire.
+    out = tmp_path / "src" / "repro" / "engines" / "notpersist.py"
     out.parent.mkdir(parents=True)
-    out.write_text("def f(vals, old):\n    return vals == old\n")
-    assert lint_file(out, rules=[rule_by_id("RC003")]) == []
+    out.write_text("def f(out):\n    out.write_text('x')\n")
+    assert lint_file(out, rules=[rule_by_id("RC002")]) == []
 
 
 def test_infer_module_anchors_at_src():
-    path = FIXTURES / "engines" / "rc003_float_equality.py"
-    assert infer_module(path) == "repro.engines.rc003_float_equality"
+    path = FIXTURES / "obs" / "rc002_raw_write.py"
+    assert infer_module(path) == "repro.obs.rc002_raw_write"
 
 
 def test_noqa_line_suppression(tmp_path):
@@ -123,13 +122,6 @@ def test_rc004_allows_reraise(tmp_path):
         "        raise\n"
     )
     assert lint_file(out, rules=[rule_by_id("RC004")]) == []
-
-
-def test_rc003_ignores_metadata_comparisons(tmp_path):
-    out = tmp_path / "src" / "repro" / "engines" / "meta.py"
-    out.parent.mkdir(parents=True)
-    out.write_text("def f(vals, k, n):\n    return vals.shape != (k, n)\n")
-    assert lint_file(out, rules=[rule_by_id("RC003")]) == []
 
 
 def test_rule_by_id_unknown_raises():

@@ -70,6 +70,20 @@ class TestTornPartialJournal:
         assert events[-1]["name"] == "kept"
         assert all(e.get("name") != "torn" for e in events)
 
+    def test_bad_line_before_valid_events_raises(self, tmp_path):
+        # Only the final line can be torn by a crash. A bad line with
+        # events after it is corruption: dropping it and everything after
+        # would lose valid events without a word.
+        partial = tmp_path / "run.jsonl.partial"
+        j = Journal(tmp_path / "run.jsonl")
+        j._fh.flush()
+        with partial.open("a") as fh:
+            fh.write('{"type": "event", "na\n')
+            fh.write('{"type": "event", "name": "a"}\n')
+            fh.write('{"type": "event", "name": "b"}\n')
+        with pytest.raises(ValueError, match="2 line"):
+            read_events(partial)
+
     def test_completed_journal_is_strict(self, tmp_path):
         # Tolerance is for .partial only: a *renamed* journal claims to
         # be complete, so a bad line there is real corruption.

@@ -14,7 +14,7 @@ from repro.engines.frontier import evaluate_query
 from repro.engines.scalar import scalar_evaluate
 from repro.graph.builder import from_arrays
 from repro.queries.reference import reference_solve
-from repro.queries.specs import REACH, SSNP, SSSP, SSWP, VITERBI, WCC
+from repro.queries.specs import BFS, REACH, SSNP, SSSP, SSWP, VITERBI, WCC
 
 
 @st.composite
@@ -54,7 +54,9 @@ def test_wcc_matches_union_find(data):
     assert np.array_equal(evaluate_query(g, WCC), reference_solve(g, WCC))
 
 
-@pytest.mark.parametrize("spec", (SSSP, SSWP), ids=lambda s: s.name)
+@pytest.mark.parametrize(
+    "spec", (SSSP, SSNP, SSWP, VITERBI, REACH, BFS), ids=lambda s: s.name
+)
 @given(data=graphs_and_source())
 @settings(max_examples=30, deadline=None)
 def test_vectorized_matches_scalar(spec, data):

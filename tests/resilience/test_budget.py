@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.dispatch import build_cg
 from repro.core.twophase import two_phase
-from repro.engines.batch import evaluate_batch
 from repro.engines.frontier import evaluate_query, run_push
 from repro.engines.scalar import scalar_evaluate
 from repro.queries import SSSP
@@ -81,12 +80,6 @@ class TestEnginesEnforceBudget:
             scalar_evaluate(medium_graph, SSSP, 0,
                             budget=Budget(max_iterations=5))
         assert exc_info.value.site == "engine.scalar"
-
-    def test_batch(self, medium_graph):
-        with pytest.raises(BudgetExceeded) as exc_info:
-            evaluate_batch(medium_graph, SSSP, [0, 1, 2],
-                           budget=Budget(max_iterations=2))
-        assert exc_info.value.site == "engine.batch"
 
     def test_values_remain_valid_bounds_after_abort(self, medium_graph):
         """An aborted run's values are still sound upper bounds for SSSP."""
