@@ -122,9 +122,8 @@ class PinUse:
 
 @dataclass(frozen=True)
 class ClaimEvent:
-    """A ``begin_run``/``reset`` call for the budget typestate check."""
+    """A ``begin_run`` call for the budget typestate check."""
 
-    kind: str  # "begin" | "reset"
     recv: str
     depth: int
     bind_depth: int
@@ -710,11 +709,10 @@ class _MethodWalker:
             self.out.pins.append(PinUse(
                 owner.name, node.lineno, id(node) in self._with_pins
             ))
-        if attr in ("begin_run", "reset"):
+        if attr == "begin_run":
             recv = _dotted(func.value) or "?"
             root = recv.split(".", 1)[0]
             self.out.claims.append(ClaimEvent(
-                kind="begin" if attr == "begin_run" else "reset",
                 recv=recv,
                 depth=self.loop_depth,
                 bind_depth=self.bind_depth.get(root, 0),

@@ -12,9 +12,9 @@ streams — the shapes that leak resources on exception edges:
   ``finally`` block of the same method; anything else leaks the lock the
   first time the critical section raises.
 * A :class:`~repro.resilience.budget.Budget` is single-claim:
-  ``begin_run`` inside a loop on a budget bound outside it (with no
-  ``reset`` alongside) raises ``BudgetReuseError`` on the second lap, as
-  does a straight-line double claim.
+  ``begin_run`` inside a loop on a budget bound outside it raises
+  ``BudgetReuseError`` on the second lap, as does a straight-line double
+  claim.
 * A file handle opened in ``__init__`` — or anywhere else a method
   stores one on ``self`` (WAL segment rotation, journal reopen) — pairs
   with a ``close()`` somewhere on the class; a class that opens and
@@ -132,17 +132,10 @@ def _check_claims(summary) -> List[Violation]:
         by_recv.setdefault(ev.recv, []).append(ev)
     for recv, events in sorted(by_recv.items()):
         events.sort(key=lambda e: e.line)
-        resets = [e for e in events if e.kind == "reset"]
         last_begin = None
         for ev in events:
-            if ev.kind == "reset":
-                last_begin = None
-                continue
-            # begin_run inside a loop on a budget bound outside it, with
-            # no reset at (or below) that loop level to re-arm it.
-            if ev.depth > ev.bind_depth and not any(
-                r.depth >= ev.depth for r in resets
-            ):
+            # begin_run inside a loop on a budget bound outside it.
+            if ev.depth > ev.bind_depth:
                 out.append(Violation(
                     rule=RULE,
                     path=summary.path,
@@ -151,7 +144,7 @@ def _check_claims(summary) -> List[Violation]:
                         f"{recv}.begin_run() inside a loop on a budget "
                         f"created outside it — the second iteration "
                         f"raises BudgetReuseError (budgets are "
-                        f"single-claim; reset() or build one per lap)"
+                        f"single-claim; build one per lap)"
                     ),
                 ))
                 continue
@@ -162,8 +155,7 @@ def _check_claims(summary) -> List[Violation]:
                     line=ev.line,
                     message=(
                         f"{recv}.begin_run() re-claims a budget already "
-                        f"claimed at line {last_begin.line} without an "
-                        f"intervening reset()"
+                        f"claimed at line {last_begin.line}"
                     ),
                 ))
             last_begin = ev

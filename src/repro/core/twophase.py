@@ -9,8 +9,8 @@ incoming edges of provably precise vertices from the completion phase.
 
 The evaluation is resilient by construction:
 
-* a :class:`~repro.resilience.budget.Budget` bounds wall-clock/iterations/
-  frontier memory across *both* phases; with ``anytime=True`` a budget
+* a :class:`~repro.resilience.budget.Budget` bounds wall-clock and
+  iterations across *both* phases; with ``anytime=True`` a budget
   abort returns the partial result with a per-vertex precision
   certificate (Theorem-1 exact / CG-approximate / unreached) and
   ``degraded=True`` instead of raising;
@@ -25,9 +25,8 @@ threads over one shared ``(g, proxy)`` pair. All mutable run state
 only read. The shared caches it touches are individually synchronized —
 :func:`~repro.engines.frontier.symmetric_view` builds under a lock, the
 metrics registry and journal serialize internally, and span stacks are
-thread-local. A ``budget`` must be a fresh (or :meth:`~repro.resilience.
-budget.Budget.reset`) object per call: the entry claim via
-``Budget.begin_run`` raises :class:`~repro.resilience.budget.
+thread-local. A ``budget`` must be a fresh object per call: the entry
+claim via ``Budget.begin_run`` raises :class:`~repro.resilience.budget.
 BudgetReuseError` instead of silently inheriting another run's clock.
 """
 

@@ -465,7 +465,7 @@ def push_iterations(
         while frontier.size:
             fault_point("engine.frontier.iteration")
             if budget is not None:
-                budget.tick("engine.frontier", frontier_bytes=frontier.nbytes)
+                budget.tick("engine.frontier")
             gathered = _out_degree_sum(g, frontier) if first_visit else 0
             if gathered > g.num_edges // DENSE_DIVISOR:
                 new_frontier, scanned, updates, skipped, redundant = _dense_round(

@@ -34,6 +34,17 @@ def scalar_evaluate(
     """Worklist evaluation of ``spec`` from ``source``; O(n * m) worst case.
 
     Iteration boundaries for ``budget`` purposes are worklist pops.
+
+    The worklist is FIFO with at most one entry per vertex, so the pops
+    fall into passes: pass 0 pops the initial frontier, and pass k pops
+    the vertices updated during pass k - 1, each at most once. After
+    pass k every vertex whose best path from the frontier has at most k
+    edges holds its final value. The specs here are path algebras in
+    which no cycle improves a value, so best paths are simple (at most
+    n - 1 edges), pass n makes no update, and the queue drains after at
+    most n + 1 passes of at most n pops: n * (n + 1) pops in all. More
+    means the spec (or this loop) never settles — it re-queues on ties,
+    say — and the run raises ``RuntimeError`` instead of spinning.
     """
     work = symmetrize(g) if spec.symmetric else g
     weights = spec.weight_transform(work.edge_weights())
@@ -42,6 +53,7 @@ def scalar_evaluate(
         int(x) for x in spec.initial_frontier(g.num_vertices, source)
     )
     pops = 0
+    max_pops = g.num_vertices * (g.num_vertices + 1)
     in_queue = np.zeros(g.num_vertices, dtype=bool)
     in_queue[list(queue)] = True
     if san_runtime._enabled:
@@ -53,10 +65,15 @@ def scalar_evaluate(
     while queue:
         fault_point("engine.scalar.pop")
         if budget is not None:
-            budget.tick("engine.scalar", frontier_bytes=8 * len(queue))
+            budget.tick("engine.scalar")
         u = queue.popleft()
         in_queue[u] = False
         pops += 1
+        if pops > max_pops:
+            raise RuntimeError(
+                f"scalar_evaluate({spec.name}) did not settle: {pops} "
+                f"worklist pops exceed n*(n+1) = {max_pops}"
+            )
         lo, hi = work.offsets[u], work.offsets[u + 1]
         edges_scanned += int(hi - lo)
         for i in range(lo, hi):

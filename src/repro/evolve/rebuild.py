@@ -23,6 +23,10 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
 from repro.resilience.faults import fault_point
 
+#: Backoff between crash restarts: doubles from the base, capped.
+BACKOFF_BASE_S = 0.02
+BACKOFF_MAX_S = 1.0
+
 
 @dataclass
 class RebuildStats:
@@ -46,21 +50,13 @@ class RebuildSupervisor:
         The single writer whose quality policy decides when to rebuild.
     poll_interval_s:
         Inner-loop sleep between policy checks.
-    backoff_base_s / backoff_max_s:
-        Capped exponential backoff between crash restarts.
     """
 
     def __init__(
-        self,
-        maintainer: EpochMaintainer,
-        poll_interval_s: float = 0.02,
-        backoff_base_s: float = 0.02,
-        backoff_max_s: float = 1.0,
+        self, maintainer: EpochMaintainer, poll_interval_s: float = 0.02
     ) -> None:
         self.maintainer = maintainer
         self.poll_interval_s = poll_interval_s
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
         self.stats = RebuildStats()
         self._stop = threading.Event()
         self._force = threading.Event()
@@ -105,8 +101,8 @@ class RebuildSupervisor:
                 if obs_runtime._enabled:
                     obs_metrics.counter("evolve.rebuild.failures").inc()
                 backoff = min(
-                    self.backoff_max_s,
-                    self.backoff_base_s * (2 ** min(restarts - 1, 6)),
+                    BACKOFF_MAX_S,
+                    BACKOFF_BASE_S * (2 ** min(restarts - 1, 6)),
                 )
                 if self._stop.wait(backoff):
                     return

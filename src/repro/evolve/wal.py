@@ -65,7 +65,9 @@ SEGMENT_SUFFIX = ".log"
 #: Record kinds a maintainer writes (recovery rejects anything else).
 RECORD_KINDS = ("batch", "install", "probe", "abort")
 
-DEFAULT_SEGMENT_MAX_BYTES = 1 << 20
+#: An append that would grow a non-empty tail segment past this size
+#: seals it and starts the next one (read per append, so tests can lower it).
+SEGMENT_MAX_BYTES = 1 << 20
 DEFAULT_GROUP_INTERVAL_MS = 5.0
 
 FSYNC_POLICIES = ("always", "group", "never")
@@ -311,16 +313,10 @@ class WalWriter:
     its callers, but recovery tooling and tests share writers too.
     """
 
-    def __init__(
-        self,
-        directory: PathLike,
-        fsync: str = "always",
-        segment_max_bytes: int = DEFAULT_SEGMENT_MAX_BYTES,
-    ) -> None:
+    def __init__(self, directory: PathLike, fsync: str = "always") -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_mode, self.group_interval_ms = parse_fsync_policy(fsync)
-        self.segment_max_bytes = int(segment_max_bytes)
         self._lock = threading.Lock()
         self._appends = 0
         self._fsyncs = 0
@@ -360,7 +356,7 @@ class WalWriter:
             "mode": "wal",
             "dir": str(self.directory),
             "fsync": mode,
-            "segment_max_bytes": self.segment_max_bytes,
+            "segment_max_bytes": SEGMENT_MAX_BYTES,
         }
 
     def stats(self) -> Dict[str, int]:
@@ -396,7 +392,7 @@ class WalWriter:
                 raise WalError(f"WAL writer for {self.directory} is closed")
             if (
                 self._size > 0
-                and self._size + len(frame) > self.segment_max_bytes
+                and self._size + len(frame) > SEGMENT_MAX_BYTES
             ):
                 self._rotate_locked()
             offset = self._size
@@ -431,13 +427,6 @@ class WalWriter:
         self._fsyncs += 1
         self._last_fsync = time.monotonic()
 
-    def sync(self) -> None:
-        """Force an fsync of the tail segment regardless of policy."""
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.flush()
-                self._fsync_locked()
-
     # ------------------------------------------------------------------
     # Rotation and compaction
     # ------------------------------------------------------------------
@@ -451,14 +440,6 @@ class WalWriter:
         self._fh = self._segment.open("ab")  # repro: noqa RC104 — rotation
         self._size = self._segment.stat().st_size
         self._rotations += 1
-
-    def rotate(self) -> Path:
-        """Seal the tail segment and start the next one."""
-        with self._lock:
-            if self._fh.closed:
-                raise WalError(f"WAL writer for {self.directory} is closed")
-            self._rotate_locked()
-            return self._segment
 
     def compact(self, upto_epoch: int) -> int:
         """Drop sealed segments wholly covered by a snapshot.

@@ -1,9 +1,9 @@
-"""Execution budgets: bounded wall-clock, iterations, and frontier memory.
+"""Execution budgets: bounded wall-clock and iterations.
 
 A :class:`Budget` is handed to an engine (or to :func:`repro.core.twophase.
 two_phase`, which threads it through both phases) and checked at iteration
-boundaries via :meth:`Budget.tick`. Exceeding any limit raises a structured
-:class:`BudgetExceeded` instead of letting the run hang or exhaust memory —
+boundaries via :meth:`Budget.tick`. Exceeding either limit raises a structured
+:class:`BudgetExceeded` instead of letting the run hang —
 callers can catch it to degrade gracefully (see :mod:`repro.resilience.
 anytime`) or let it propagate as a loud, attributable failure.
 
@@ -18,8 +18,8 @@ runs is a bug — the second run would inherit the first run's elapsed
 clock and iteration count silently. Top-level entry points
 (:func:`repro.core.twophase.two_phase`, the serve worker) therefore
 claim the budget with :meth:`Budget.begin_run`, which raises
-:class:`BudgetReuseError` on a second claim; call :meth:`Budget.reset`
-to deliberately recycle the object for a fresh run.
+:class:`BudgetReuseError` on a second claim; build a fresh
+:class:`Budget` for each run.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ class BudgetExceeded(RuntimeError):
     Attributes
     ----------
     limit:
-        Which limit fired: ``"deadline_s"``, ``"max_iterations"``, or
-        ``"max_frontier_bytes"``.
+        Which limit fired: ``"deadline_s"`` or ``"max_iterations"``.
     site:
         The checking site (``"engine.frontier"``, ``"twophase.completion"``,
         ...), so logs attribute the abort to the right loop.
@@ -101,14 +100,10 @@ class Budget:
     max_iterations:
         Cumulative iteration-boundary count across all engine runs
         sharing this budget (worklist engines count pops).
-    max_frontier_bytes:
-        Upper bound on the active frontier's array size — the proxy for
-        runaway frontier memory on high-fanout graphs.
     """
 
     deadline_s: Optional[float] = None
     max_iterations: Optional[int] = None
-    max_frontier_bytes: Optional[int] = None
     _t0: Optional[float] = field(default=None, init=False, repr=False)
     iterations: int = field(default=0, init=False, repr=False)
     _claimed: bool = field(default=False, init=False, repr=False)
@@ -133,17 +128,10 @@ class Budget:
                 f"budget already used ({self.iterations} iterations, "
                 f"{self.elapsed_s:.3f}s elapsed)"
                 + (f" at {site}" if site else "")
-                + "; call reset() to recycle it for a fresh run"
+                + "; build a fresh Budget for each run"
             )
         self._claimed = True
         return self.start()
-
-    def reset(self) -> "Budget":
-        """Clear the clock, iteration count, and run claim; returns self."""
-        self._t0 = None
-        self.iterations = 0
-        self._claimed = False
-        return self
 
     @property
     def elapsed_s(self) -> float:
@@ -157,8 +145,8 @@ class Budget:
         _record_exceeded(exc)
         raise exc
 
-    def tick(self, site: str, frontier_bytes: Optional[int] = None) -> None:
-        """Account one completed iteration boundary and enforce all limits."""
+    def tick(self, site: str) -> None:
+        """Account one completed iteration boundary and enforce both limits."""
         self.start()
         self.iterations += 1
         if (
@@ -172,15 +160,6 @@ class Budget:
             elapsed = self.elapsed_s
             if elapsed > self.deadline_s:
                 self._raise("deadline_s", site, elapsed, self.deadline_s)
-        if (
-            self.max_frontier_bytes is not None
-            and frontier_bytes is not None
-            and frontier_bytes > self.max_frontier_bytes
-        ):
-            self._raise(
-                "max_frontier_bytes", site, frontier_bytes,
-                self.max_frontier_bytes,
-            )
 
 
 def _record_exceeded(exc: BudgetExceeded) -> None:

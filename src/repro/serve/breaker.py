@@ -8,11 +8,14 @@ are exact; the rest carry CERT_APPROX). The breaker decides when to shed.
 
 States follow the classic pattern:
 
-* CLOSED — completions run; consecutive ``BudgetExceeded`` failures or a
-  p95 completion latency above threshold trips the breaker;
+* CLOSED — completions run; ``FAILURE_THRESHOLD`` consecutive
+  ``BudgetExceeded`` failures trip the breaker;
 * OPEN — completions are shed wholesale until ``cooldown_s`` elapses;
 * HALF_OPEN — one probe request is allowed through; success closes the
-  breaker, failure re-opens it and restarts the cooldown.
+  breaker, failure re-opens it and restarts the cooldown. A probe that
+  never reports (its Core Phase aborted, or its worker died) does not
+  wedge the breaker: once ``cooldown_s`` has passed since that probe was
+  admitted, the next request becomes a fresh probe.
 
 The clock is injectable so trip/cooldown/probe transitions are testable
 without sleeping.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
@@ -32,39 +35,28 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: Consecutive Completion-Phase budget blowups that trip the breaker.
+FAILURE_THRESHOLD = 3
+
 #: Gauge encoding for serve.breaker.state.
 _STATE_CODE = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
 
 
-def _p95(samples: List[float]) -> float:
-    ordered = sorted(samples)
-    idx = min(len(ordered) - 1, int(0.95 * len(ordered)))
-    return ordered[idx]
-
-
 class CircuitBreaker:
-    """Trip on consecutive failures or high p95 completion latency."""
+    """Trip on consecutive Completion-Phase failures."""
 
     def __init__(
         self,
-        failure_threshold: int = 3,
-        latency_threshold_s: Optional[float] = None,
-        min_samples: int = 8,
-        window: int = 64,
         cooldown_s: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.failure_threshold = failure_threshold
-        self.latency_threshold_s = latency_threshold_s
-        self.min_samples = min_samples
-        self.window = window
         self.cooldown_s = cooldown_s
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
-        self._latencies: List[float] = []
         self._opened_at: Optional[float] = None
+        self._probe_at: Optional[float] = None
         self.trips = 0
         self.probes = 0
 
@@ -78,40 +70,33 @@ class CircuitBreaker:
         """Whether the next request may run its Completion Phase.
 
         While OPEN, flips to HALF_OPEN once the cooldown has elapsed and
-        admits that caller as the probe.
+        admits that caller as the probe. While HALF_OPEN, sheds until the
+        probe reports back — or until ``cooldown_s`` has passed since it
+        was admitted, when the caller becomes the next probe.
         """
         with self._lock:
             if self._state == CLOSED:
                 return True
+            now = self._clock()
             if self._state == OPEN:
                 assert self._opened_at is not None
-                if self._clock() - self._opened_at >= self.cooldown_s:
-                    self._transition(HALF_OPEN, "cooldown_elapsed")
-                    self.probes += 1
-                    return True
-                return False
-            # HALF_OPEN: exactly one probe is in flight; shed the rest
-            # until it reports back.
-            return False
+                if now - self._opened_at < self.cooldown_s:
+                    return False
+                self._transition(HALF_OPEN, "cooldown_elapsed")
+            else:
+                assert self._probe_at is not None
+                if now - self._probe_at < self.cooldown_s:
+                    return False
+            self._probe_at = now
+            self.probes += 1
+            return True
 
-    def record_success(self, completion_latency_s: float) -> None:
+    def record_success(self) -> None:
         """A Completion Phase finished inside its budget."""
         with self._lock:
             self._consecutive_failures = 0
             if self._state == HALF_OPEN:
-                self._latencies.clear()
                 self._transition(CLOSED, "probe_succeeded")
-                return
-            self._latencies.append(completion_latency_s)
-            if len(self._latencies) > self.window:
-                del self._latencies[: -self.window]
-            if (
-                self._state == CLOSED
-                and self.latency_threshold_s is not None
-                and len(self._latencies) >= self.min_samples
-                and _p95(self._latencies) > self.latency_threshold_s
-            ):
-                self._trip("p95_latency")
 
     def record_failure(self) -> None:
         """A Completion Phase blew its budget (``BudgetExceeded``)."""
@@ -122,7 +107,7 @@ class CircuitBreaker:
             self._consecutive_failures += 1
             if (
                 self._state == CLOSED
-                and self._consecutive_failures >= self.failure_threshold
+                and self._consecutive_failures >= FAILURE_THRESHOLD
             ):
                 self._trip("consecutive_failures")
 
@@ -131,7 +116,6 @@ class CircuitBreaker:
         # Caller holds the lock.
         self.trips += 1
         self._consecutive_failures = 0
-        self._latencies.clear()
         self._transition(OPEN, reason)
         if obs_runtime._enabled:
             obs_metrics.counter("serve.breaker.trips").inc()
@@ -156,5 +140,4 @@ class CircuitBreaker:
                 "trips": self.trips,
                 "probes": self.probes,
                 "consecutive_failures": self._consecutive_failures,
-                "latency_samples": len(self._latencies),
             }

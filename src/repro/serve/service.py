@@ -82,10 +82,8 @@ class ServiceConfig:
 
     workers: int = 4
     queue_capacity: int = 64
-    default_deadline_s: Optional[float] = None
     default_max_iterations: Optional[int] = None
     triangle: bool = False
-    breaker_failure_threshold: int = 3
     breaker_cooldown_s: float = 1.0
 
 
@@ -120,10 +118,7 @@ class QueryService:
         self.config = config or ServiceConfig()
         self._clock = clock
         self._queue = AdmissionQueue(self.config.queue_capacity)
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            cooldown_s=self.config.breaker_cooldown_s,
-        )
+        self.breaker = CircuitBreaker(cooldown_s=self.config.breaker_cooldown_s)
         self._pool = WorkerPool(self, self.config.workers)
         self._tally = Tally()
         # Explain-record constants: the CG/full-graph edge ratio and hub
@@ -181,9 +176,7 @@ class QueryService:
                 query=query,
                 source=source,
                 priority=priority,
-                deadline_s=(
-                    cfg.default_deadline_s if deadline_s is None else deadline_s
-                ),
+                deadline_s=deadline_s,
                 max_iterations=(
                     cfg.default_max_iterations
                     if max_iterations is None else max_iterations
@@ -319,7 +312,7 @@ class QueryService:
                 self.breaker.record_failure()
         else:
             status = STATUS_OK
-            self.breaker.record_success(res.phase2.wall_time)
+            self.breaker.record_success()
         if stale is not None and obs_runtime._enabled:
             obs_metrics.gauge("evolve.epoch_lag").set(stale.epoch_lag)
         return Outcome(

@@ -6,9 +6,6 @@ never a stuck service. The supervision loop catches the escaped exception
 at the thread's outermost frame, reports it to the service (which requeues
 the in-flight request once, or poisons it on the second death), backs off
 with capped exponential delay, and starts a fresh worker loop.
-
-``pause()``/``resume()`` freeze request consumption without stopping the
-threads — tests use this to fill the admission queue deterministically.
 """
 
 from __future__ import annotations
@@ -22,24 +19,19 @@ from repro.resilience.faults import fault_point
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.serve.service import QueryService
 
+#: Restart backoff after a worker death: doubles from the base, capped.
+RESTART_BASE_DELAY_S = 0.005
+RESTART_MAX_DELAY_S = 0.25
+
 
 class WorkerPool:
     """Fixed-size pool of daemon worker threads with a supervisor wrapper."""
 
-    def __init__(
-        self,
-        service: "QueryService",
-        num_workers: int,
-        restart_base_delay_s: float = 0.005,
-        restart_max_delay_s: float = 0.25,
-    ) -> None:
+    def __init__(self, service: "QueryService", num_workers: int) -> None:
         self._service = service
         self.num_workers = num_workers
-        self._restart_base_delay_s = restart_base_delay_s
-        self._restart_max_delay_s = restart_max_delay_s
         self._threads: List[threading.Thread] = []
         self._stop = threading.Event()
-        self._paused = threading.Event()
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -59,12 +51,6 @@ class WorkerPool:
             t.join(timeout)
         self._threads.clear()
 
-    def pause(self) -> None:
-        self._paused.set()
-
-    def resume(self) -> None:
-        self._paused.clear()
-
     def alive_count(self) -> int:
         """Worker threads currently alive (the /healthz liveness signal)."""
         return sum(1 for t in self._threads if t.is_alive())
@@ -81,17 +67,14 @@ class WorkerPool:
                 restarts += 1
                 self._service._on_worker_restart(wid, exc, restarts)
                 delay = min(
-                    self._restart_max_delay_s,
-                    self._restart_base_delay_s * (2 ** min(restarts - 1, 6)),
+                    RESTART_MAX_DELAY_S,
+                    RESTART_BASE_DELAY_S * (2 ** min(restarts - 1, 6)),
                 )
                 self._stop.wait(delay)
 
     def _loop(self, wid: int) -> None:
         """Pop-and-execute until shutdown; any escape kills this worker."""
         while not self._stop.is_set():
-            if self._paused.is_set():
-                self._stop.wait(0.005)
-                continue
             req = self._service._queue.pop(timeout=0.05)
             if req is None:
                 continue

@@ -178,12 +178,12 @@ def test_budget_reuse_in_loop(tmp_path):
     assert "BudgetReuseError" in vs[0].message
 
 
-def test_budget_reset_in_loop_is_clean(tmp_path):
+def test_budget_built_per_lap_is_clean(tmp_path):
     out = _write(tmp_path, """\
         class Runner:
-            def run_all(self, budget, jobs):
+            def run_all(self, jobs):
                 for job in jobs:
-                    budget.reset()
+                    budget = Budget()
                     budget.begin_run()
                     job()
         """)

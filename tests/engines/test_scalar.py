@@ -34,3 +34,27 @@ def test_paper_example(paper_graph):
         assert np.array_equal(
             scalar_evaluate(paper_graph, SSSP, s), PAPER_G_DISTANCES[s]
         )
+
+
+class _TieRequeueReach(type(REACH)):
+    """REACH whose Needed test also passes on ties, so a cycle of reached
+    vertices re-queues itself forever."""
+
+    def better(self, a, b):
+        return np.greater_equal(a, b)
+
+
+def test_non_settling_spec_raises_instead_of_spinning():
+    import dataclasses
+    import time
+
+    from repro.graph.builder import from_edges
+
+    spec = _TieRequeueReach(**{
+        f.name: getattr(REACH, f.name) for f in dataclasses.fields(REACH)
+    })
+    g = from_edges([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1.0)], 5)
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="REACH.*n\\*\\(n\\+1\\) = 30"):
+        scalar_evaluate(g, spec, 0)
+    assert time.perf_counter() - t0 < 1.0

@@ -40,9 +40,7 @@ class TestSupervisedRebuild:
         """An injected crash inside the build kills the attempt; the
         supervisor restarts with backoff and the rebuild still lands."""
         _churn(maintainer)
-        sup = RebuildSupervisor(
-            maintainer, poll_interval_s=0.005, backoff_base_s=0.001
-        )
+        sup = RebuildSupervisor(maintainer, poll_interval_s=0.005)
         with injected("evolve.rebuild", "crash"):
             sup.request_rebuild()
             sup.start()

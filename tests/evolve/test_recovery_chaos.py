@@ -47,8 +47,11 @@ DRIVER = textwrap.dedent("""\
     import sys
 
     from repro.evolve import EpochMaintainer, WalWriter, next_batch
+    from repro.evolve import wal
     from repro.generators.random_graphs import random_weighted_graph
     from repro.queries import SSSP
+
+    wal.SEGMENT_MAX_BYTES = 1500  # rotate often, so wal.rotate is reached
 
     wal_dir, oracle_path, batches = (
         sys.argv[1], sys.argv[2], int(sys.argv[3])
@@ -56,7 +59,7 @@ DRIVER = textwrap.dedent("""\
     g = random_weighted_graph(90, 520, seed=17)
     m = EpochMaintainer(
         g, SSSP, num_hubs=5,
-        wal=WalWriter(wal_dir, fsync="always", segment_max_bytes=1500),
+        wal=WalWriter(wal_dir, fsync="always"),
         snapshot_every=4,
     )
     oracle = open(oracle_path, "a")

@@ -127,9 +127,7 @@ class TestLiveService:
         faults.install("serve.worker.request", "crash", at_hit=3)
         faults.install("evolve.apply", "crash", at_hit=2)
         faults.install("evolve.rebuild", "crash", at_hit=1)
-        sup = RebuildSupervisor(
-            maintainer, poll_interval_s=0.005, backoff_base_s=0.001
-        )
+        sup = RebuildSupervisor(maintainer, poll_interval_s=0.005)
         with san_runtime.enabled():
             with live_service(maintainer, workers=3) as svc:
                 sup.request_rebuild()

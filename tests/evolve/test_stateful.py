@@ -32,7 +32,7 @@ from hypothesis.stateful import (
 )
 
 from repro.core.twophase import two_phase
-from repro.evolve import EpochMaintainer, WalWriter, recover
+from repro.evolve import EpochMaintainer, WalWriter, recover, wal
 from repro.evolve.snapshot import snapshot_epoch
 from repro.graph.builder import from_edges
 from repro.graph.transform import edge_subgraph
@@ -57,10 +57,14 @@ class LivePlaneMachine(RuleBasedStateMachine):
         self.tmp = Path(tempfile.mkdtemp(prefix="repro-stateful-"))
         self.wal_dir = self.tmp / "wal"
         self.m = None
+        # Small segments, so rotation and compaction run within a few steps.
+        self._segment_cap = mock.patch.object(wal, "SEGMENT_MAX_BYTES", 600)
+        self._segment_cap.start()
 
     def teardown(self):
         if self.m is not None and self.m.wal is not None:
             self.m.wal.close()
+        self._segment_cap.stop()
         shutil.rmtree(self.tmp, ignore_errors=True)
 
     # ------------------------------------------------------------------
@@ -117,7 +121,7 @@ class LivePlaneMachine(RuleBasedStateMachine):
         self.triangle_safe = True
         self.m = EpochMaintainer(
             self.model_graph(), SSSP, num_hubs=HUBS,
-            wal=WalWriter(self.wal_dir, fsync="never", segment_max_bytes=600),
+            wal=WalWriter(self.wal_dir, fsync="never"),
             snapshot_every=SNAPSHOT_EVERY,
         )
         self.history = {0: self.model_graph().fingerprint()}

@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from repro.evolve import wal
 from repro.evolve.wal import (
     CorruptWalError,
     HEADER_BYTES,
@@ -31,6 +32,12 @@ from repro.resilience.faults import InjectedCrash, injected
 @pytest.fixture()
 def wal_dir(tmp_path):
     return tmp_path / "wal"
+
+
+@pytest.fixture()
+def one_record_segments(monkeypatch):
+    """Every append past a segment's first record rotates."""
+    monkeypatch.setattr(wal, "SEGMENT_MAX_BYTES", 1)
 
 
 def _fill(wal_dir, n=5, **writer_kw):
@@ -154,10 +161,12 @@ class TestMidLogCorruption:
         assert err.offset == 0
         assert "crc" in err.reason.lower() or "body" in err.reason.lower()
 
-    def test_bad_tail_in_sealed_segment_raises(self, wal_dir):
+    def test_bad_tail_in_sealed_segment_raises(
+        self, wal_dir, one_record_segments
+    ):
         # Damage in any non-last segment is never "torn": later segments
         # prove the writer moved on, so data after the damage existed.
-        with WalWriter(wal_dir, segment_max_bytes=1) as w:
+        with WalWriter(wal_dir) as w:
             for i in range(1, 4):
                 w.append("batch", i)
         segs = list_segments(wal_dir)
@@ -206,13 +215,16 @@ class TestFsyncPolicies:
         assert [r.epoch for r in records] == [1]
 
     def test_group_commit_syncs_on_interval(self, wal_dir):
-        # Huge interval: no appends sync on their own; sync() forces it.
+        # Huge interval: no append syncs until the interval has passed.
         with WalWriter(wal_dir, fsync="group:60000") as w:
             for i in range(1, 6):
                 w.append("batch", i)
-            before = w.stats()["fsyncs"]
-            w.sync()
-            assert w.stats()["fsyncs"] == before + 1
+            assert w.stats()["fsyncs"] == 0
+            w._last_fsync -= 60.0
+            w.append("batch", 6)
+            assert w.stats()["fsyncs"] == 1
+            w.append("batch", 7)
+            assert w.stats()["fsyncs"] == 1
 
     def test_durability_summary(self, wal_dir):
         with WalWriter(wal_dir, fsync="group:5") as w:
@@ -220,11 +232,12 @@ class TestFsyncPolicies:
         assert d["mode"] == "wal"
         assert d["fsync"].startswith("group:")
         assert d["dir"] == str(wal_dir)
+        assert d["segment_max_bytes"] == wal.SEGMENT_MAX_BYTES
 
 
 class TestRotationAndCompaction:
-    def test_small_cap_forces_rotation(self, wal_dir):
-        with WalWriter(wal_dir, segment_max_bytes=1) as w:
+    def test_small_cap_forces_rotation(self, wal_dir, one_record_segments):
+        with WalWriter(wal_dir) as w:
             for i in range(1, 5):
                 w.append("batch", i)
             assert w.segment_count() == 4
@@ -233,16 +246,22 @@ class TestRotationAndCompaction:
         assert torn is None
         assert [r.epoch for r in records] == [1, 2, 3, 4]
 
-    def test_explicit_rotate_seals_tail(self, wal_dir):
+    def test_rotation_seals_tail(self, wal_dir, one_record_segments):
         with WalWriter(wal_dir) as w:
             w.append("batch", 1)
-            new_tail = w.rotate()
-            assert new_tail == w.tail_path
+            first = w.tail_path
             w.append("batch", 2)
+            assert w.tail_path != first
+            assert w.tail_path == list_segments(wal_dir)[-1]
+            # The sealed segment holds its record whole: no torn tail.
+            sealed = scan_segment(first, tolerate_torn=False)
+            assert [r.epoch for r in sealed.records] == [1]
         assert len(list_segments(wal_dir)) == 2
 
-    def test_compact_drops_covered_sealed_segments(self, wal_dir):
-        with WalWriter(wal_dir, segment_max_bytes=1) as w:
+    def test_compact_drops_covered_sealed_segments(
+        self, wal_dir, one_record_segments
+    ):
+        with WalWriter(wal_dir) as w:
             for i in range(1, 6):
                 w.append("batch", i)
             removed = w.compact(upto_epoch=3)
@@ -259,8 +278,10 @@ class TestRotationAndCompaction:
             records, _ = read_wal(wal_dir)
             assert len(records) == 3
 
-    def test_compact_keeps_partially_covered_segment(self, wal_dir):
-        with WalWriter(wal_dir, segment_max_bytes=1) as w:
+    def test_compact_keeps_partially_covered_segment(
+        self, wal_dir, one_record_segments
+    ):
+        with WalWriter(wal_dir) as w:
             for i in range(1, 4):
                 w.append("batch", i)
             # Epoch 2's segment is sealed but not fully covered by 1.
@@ -293,8 +314,10 @@ class TestFaultPoints:
         records, _ = read_wal(wal_dir)
         assert [r.epoch for r in records] == [1]
 
-    def test_rotate_crash_preserves_sealed_data(self, wal_dir):
-        with WalWriter(wal_dir, segment_max_bytes=1) as w:
+    def test_rotate_crash_preserves_sealed_data(
+        self, wal_dir, one_record_segments
+    ):
+        with WalWriter(wal_dir) as w:
             w.append("batch", 1)
             with injected("wal.rotate", "crash"):
                 with pytest.raises(InjectedCrash):

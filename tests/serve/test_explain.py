@@ -123,17 +123,17 @@ def _drive_budget_degraded(svc, phase1):
 
 
 def _drive_shed_degraded(svc, phase1):
-    # The first Completion-Phase blowup trips the breaker (threshold 1,
-    # cooldown an hour); the next request's completion is shed.
-    svc.submit("SSSP", source=0, max_iterations=phase1 + 1).result(30.0)
+    # One worker runs these in order: three Completion-Phase blowups trip
+    # the breaker (cooldown an hour), and the last request's completion
+    # is shed.
+    for _ in range(3):
+        svc.submit("SSSP", source=0, max_iterations=phase1 + 1)
     svc.submit("SSSP", source=1)
 
 
 def _drive_queue_full(svc, phase1):
-    svc._pool.pause()
     for _ in range(4):  # capacity 2: two admitted, two turned away
         svc.submit("SSSP", source=0)
-    svc._pool.resume()
 
 
 def _drive_deadline_unmeetable(svc, phase1):
@@ -141,7 +141,7 @@ def _drive_deadline_unmeetable(svc, phase1):
 
 
 def _drive_shutdown(svc, phase1):
-    svc._pool.pause()  # never resumed: close() resolves the backlog
+    # The service is never started: close() resolves the backlog.
     for _ in range(3):
         svc.submit("SSSP", source=0)
 
@@ -158,7 +158,7 @@ TERMINAL_KINDS = {
     "budget_degraded": (
         {}, _drive_budget_degraded, ("degraded", None, False)),
     "shed_degraded": (
-        {"breaker_failure_threshold": 1, "breaker_cooldown_s": 3600.0},
+        {"breaker_cooldown_s": 3600.0},
         _drive_shed_degraded, ("degraded", None, True)),
     "queue_full": (
         {"queue_capacity": 2}, _drive_queue_full,
@@ -201,9 +201,13 @@ class TestOneTerminalRecord:
             svc = QueryService(serve_graph, serve_cg, config)
         journal_path = tmp_path / f"{kind}.jsonl"
         with obs.telemetry(trace_path=journal_path):
-            with svc:
-                drive(svc, phase1_iterations)
-                if kind != "shutdown":
+            # Each driver submits to the not-yet-started service, so its
+            # requests are queued (or turned away) before any worker runs.
+            drive(svc, phase1_iterations)
+            if kind == "shutdown":
+                svc.close()
+            else:
+                with svc:
                     assert svc.drain(timeout=60.0)
         stats = svc.stats()
         explains = _explains(journal_path)

@@ -11,6 +11,7 @@ from repro.engines.frontier import evaluate_query
 from repro.queries import SSSP
 from repro.serve import (
     CLOSED,
+    HALF_OPEN,
     OPEN,
     REASON_DEADLINE,
     REASON_QUEUE_FULL,
@@ -58,18 +59,15 @@ class TestHappyPath:
 
 class TestAdmissionControl:
     def test_queue_full_rejects_typed(self, serve_graph, serve_cg):
+        # Not started yet: admitted requests wait in the queue.
         svc = service(serve_graph, serve_cg, workers=1, queue_capacity=4)
-        svc._pool.pause()
+        tickets = [svc.submit("SSSP", source=0) for _ in range(7)]
+        rejected = [t.result(timeout=5.0) for t in tickets if t.done()]
+        assert len(rejected) == 3
+        for out in rejected:
+            assert out.status == STATUS_REJECTED
+            assert out.rejection.reason == REASON_QUEUE_FULL
         with svc:
-            tickets = [svc.submit("SSSP", source=0) for _ in range(7)]
-            rejected = [
-                t.result(timeout=5.0) for t in tickets if t.done()
-            ]
-            assert len(rejected) == 3
-            for out in rejected:
-                assert out.status == STATUS_REJECTED
-                assert out.rejection.reason == REASON_QUEUE_FULL
-            svc._pool.resume()
             assert svc.drain(timeout=30.0)
         stats = svc.stats()
         assert stats.rejected_queue_full == 3
@@ -89,11 +87,9 @@ class TestAdmissionControl:
         import time
 
         svc = service(serve_graph, serve_cg, workers=1)
-        svc._pool.pause()
+        t = svc.submit("SSSP", source=0, deadline_s=0.02)
+        time.sleep(0.05)
         with svc:
-            t = svc.submit("SSSP", source=0, deadline_s=0.02)
-            time.sleep(0.05)
-            svc._pool.resume()
             out = t.result(timeout=30.0)
         assert out.status == STATUS_REJECTED
         assert out.rejection.reason == REASON_DEADLINE
@@ -103,20 +99,19 @@ class TestAdmissionControl:
         self, serve_graph, serve_cg
     ):
         svc = service(serve_graph, serve_cg, workers=1)
-        # Seed the service-time EWMA so the estimator has data.
+        # Seed the service-time EWMA so the estimator has data; the
+        # service is not started, so the backlog stays queued.
+        svc._ewma_service_s = 0.01
+        # Queue depth 3 at the EWMA service time each makes a microscopic
+        # deadline provably unmeetable at admission.
+        backlog = [svc.submit("SSSP", source=0) for _ in range(3)]
+        out = svc.submit("SSSP", source=0, deadline_s=1e-9).result(
+            timeout=5.0
+        )
+        assert out.status == STATUS_REJECTED
+        assert out.rejection.reason == REASON_DEADLINE
+        assert "estimated queue wait" in out.rejection.detail
         with svc:
-            svc.submit("SSSP", source=0).result(timeout=30.0)
-            svc._pool.pause()
-            # Queue depth 3 at ~EWMA service time each makes a microscopic
-            # deadline provably unmeetable at admission.
-            backlog = [svc.submit("SSSP", source=0) for _ in range(3)]
-            out = svc.submit("SSSP", source=0, deadline_s=1e-9).result(
-                timeout=5.0
-            )
-            assert out.status == STATUS_REJECTED
-            assert out.rejection.reason == REASON_DEADLINE
-            assert "estimated queue wait" in out.rejection.detail
-            svc._pool.resume()
             assert svc.drain(timeout=30.0)
         assert svc.stats().lost == 0
         assert all(t.done() for t in backlog)
@@ -141,8 +136,7 @@ class TestDegradedAnswers:
         self, serve_graph, serve_cg, phase1_iterations
     ):
         svc = service(
-            serve_graph, serve_cg, workers=1,
-            breaker_failure_threshold=3, breaker_cooldown_s=3600.0,
+            serve_graph, serve_cg, workers=1, breaker_cooldown_s=3600.0,
         )
         with svc:
             for _ in range(3):
@@ -168,11 +162,10 @@ class TestDegradedAnswers:
         self, serve_graph, serve_cg, phase1_iterations
     ):
         svc = service(
-            serve_graph, serve_cg, workers=1,
-            breaker_failure_threshold=2, breaker_cooldown_s=0.0,
+            serve_graph, serve_cg, workers=1, breaker_cooldown_s=0.0,
         )
         with svc:
-            for _ in range(2):
+            for _ in range(3):
                 svc.submit(
                     "SSSP", source=0,
                     max_iterations=phase1_iterations + 1,
@@ -185,19 +178,48 @@ class TestDegradedAnswers:
             assert svc.breaker.state == CLOSED
         assert svc.stats().lost == 0
 
+    def test_core_aborted_probe_does_not_wedge_breaker(
+        self, serve_graph, serve_cg, phase1_iterations
+    ):
+        svc = service(
+            serve_graph, serve_cg, workers=1, breaker_cooldown_s=0.0,
+        )
+        with svc:
+            for _ in range(3):
+                svc.submit(
+                    "SSSP", source=0,
+                    max_iterations=phase1_iterations + 1,
+                ).result(timeout=30.0)
+            assert svc.breaker.state == OPEN
+            # The probe's Core Phase aborts, so it never reports to the
+            # breaker; the cooldown since it was admitted has passed, so
+            # the next request is a fresh probe instead of being shed.
+            probe = svc.submit("SSSP", source=0, max_iterations=1).result(
+                timeout=30.0
+            )
+            assert probe.status == STATUS_DEGRADED
+            assert probe.result.degraded_phase == 1
+            assert svc.breaker.state == HALF_OPEN
+            for s in range(3):
+                out = svc.submit("SSSP", source=s).result(timeout=30.0)
+                assert out.status == STATUS_OK and not out.shed
+                assert svc.breaker.state == CLOSED
+        assert svc.breaker.probes == 2
+        assert svc.stats().lost == 0
+
     def test_shed_values_carry_certified_exact_vertices(
         self, serve_graph, serve_cg, phase1_iterations
     ):
         from repro.resilience.anytime import CERT_EXACT
 
         svc = service(
-            serve_graph, serve_cg, workers=1,
-            breaker_failure_threshold=1, breaker_cooldown_s=3600.0,
+            serve_graph, serve_cg, workers=1, breaker_cooldown_s=3600.0,
         )
         with svc:
-            svc.submit(
-                "SSSP", source=0, max_iterations=phase1_iterations + 1
-            ).result(timeout=30.0)
+            for _ in range(3):
+                svc.submit(
+                    "SSSP", source=0, max_iterations=phase1_iterations + 1
+                ).result(timeout=30.0)
             shed = svc.submit("SSSP", source=0).result(timeout=30.0)
         assert shed.shed
         truth = evaluate_query(serve_graph, SSSP, 0)
@@ -207,9 +229,7 @@ class TestDegradedAnswers:
 
 class TestShutdown:
     def test_close_resolves_backlog_as_shutdown(self, serve_graph, serve_cg):
-        svc = service(serve_graph, serve_cg, workers=1)
-        svc._pool.pause()
-        svc.start()
+        svc = service(serve_graph, serve_cg, workers=1)  # never started
         tickets = [svc.submit("SSSP", source=0) for _ in range(5)]
         svc.close()
         outcomes = [t.result(timeout=5.0) for t in tickets]
